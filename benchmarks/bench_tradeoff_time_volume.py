@@ -22,7 +22,7 @@ except ImportError:  # running as a plain script, not a package
     from common import run_once
 
 
-def test_bench_time_volume_tradeoff(benchmark):
+def test_bench_time_volume_design_space(benchmark):
     problem = TamProblem.from_soc(load("d695"), tam_width=32)
     results = run_once(
         benchmark, design_space, problem,

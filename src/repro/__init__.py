@@ -31,10 +31,6 @@ and every substrate its evaluation depends on:
     The execution layer: run identity (``AtpgConfig``), the
     content-addressed ATPG result cache, and the parallel executor
     behind every experiment (``Runtime``).
-``repro.service``
-    ATPG-as-a-service: a stdlib-only asyncio job server (fair-share
-    multi-tenant queue, single-flight dedupe, durable resume) plus the
-    thin client — ``repro serve`` / ``repro submit`` / ``repro bench``.
 ``repro.observability``
     Zero-dependency tracing/metrics: nested spans, typed counters,
     JSONL traces, per-run summaries — off (and free) by default.
@@ -67,16 +63,11 @@ from .errors import (
     ConfigError,
     JobFailure,
     JobRetriesExhaustedError,
-    JobStateError,
     JobTimeoutError,
     NetlistParseError,
-    QuotaExceededError,
-    RateLimitedError,
     ReproError,
-    ServiceError,
     SocFormatError,
     UnknownBenchmarkError,
-    UnknownJobError,
 )
 from .soc import Core, Soc, SocBuilder, flatten, isocost
 
@@ -103,12 +94,6 @@ def __getattr__(name):
         from . import io
 
         return getattr(io, name)
-    # The service facade, also lazy: it pulls in asyncio plumbing that
-    # library users of the TDV model and engine never touch.
-    if name in ("JobServer", "ServiceClient", "ServiceConfig"):
-        from . import service
-
-        return getattr(service, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -123,22 +108,14 @@ __all__ = [
     "JobFailure",
     "JobOutcome",
     "JobRetriesExhaustedError",
-    "JobServer",
-    "JobStateError",
     "JobTimeoutError",
     "NetlistParseError",
-    "QuotaExceededError",
-    "RateLimitedError",
     "ReproError",
     "RunJournal",
     "RunManifest",
     "Runtime",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
     "SocFormatError",
     "UnknownBenchmarkError",
-    "UnknownJobError",
     "Core",
     "Soc",
     "SocBuilder",

@@ -8,13 +8,8 @@ Every entry point of the reproduction is a subcommand here::
     repro itc02 [name]                list / inspect the benchmark SOCs
     repro experiments <name>          regenerate a paper table/figure
     repro figures <dir>               write the SVG figures
-    repro serve                       start the ATPG job server
-    repro submit <design.bench>       submit a job to a running server
-    repro bench                       load-test a server (multi-tenant)
 
-(``repro atpg`` remains as an alias of ``repro run``; the old
-``repro-experiments`` console script forwards to ``repro experiments``
-with a DeprecationWarning.)
+(``repro atpg`` remains as an alias of ``repro run``.)
 
 The ATPG-running subcommands (``run``, ``vectors``, ``experiments``)
 share the :mod:`repro.runtime` execution flags — ``--workers`` for
@@ -38,10 +33,8 @@ from .circuit import netlist_stats
 from .core import decompose, soc_table, summarize
 from .experiments.runner import EXPERIMENTS, run_experiments
 from .flags import (
-    add_client_arguments,
     add_experiment_arguments,
     add_runtime_arguments,
-    add_service_arguments,
     experiment_options,
     maybe_profile,
     report_runtime,
@@ -140,48 +133,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import JobServer, ServiceConfig
-
-    return JobServer(ServiceConfig.from_flags(args)).run()
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .runtime.config import AtpgConfig
-    from .service.client import ServiceClient
-
-    netlist = load_netlist(args.design)
-    client = ServiceClient(args.host, args.port)
-    info = client.submit(
-        netlist,
-        AtpgConfig(seed=args.seed, stream=args.stream),
-        tenant=args.tenant,
-        name=args.name or netlist.name,
-    )
-    print(f"submitted {info['id']} ({info['state']}"
-          f"{', deduped' if info.get('deduped') else ''})")
-    if args.no_wait:
-        return 0
-    final = client.wait(info["id"], timeout=args.timeout)
-    print(f"{final['id']}: {final['state']}"
-          + (f" ({final['outcome']})" if final.get("outcome") else ""))
-    if final["state"] != "done":
-        if final.get("error"):
-            print(f"error: {final['error']}", file=sys.stderr)
-        return 1
-    result = client.result(info["id"])
-    print(f"patterns: {result.pattern_count}")
-    print(f"fault coverage: {100 * result.fault_coverage:.2f}% "
-          f"({result.detected_count}/{result.fault_count} collapsed faults)")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .service.loadtest import bench_from_args
-
-    return bench_from_args(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -236,41 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument("out_dir", nargs="?", default="figures")
     figures.set_defaults(func=_cmd_figures)
-
-    serve = subparsers.add_parser(
-        "serve", help="start the ATPG job server (ATPG-as-a-service)"
-    )
-    add_service_arguments(serve)
-    serve.set_defaults(func=_cmd_serve)
-
-    submit = subparsers.add_parser(
-        "submit", help="submit a .bench netlist to a running job server"
-    )
-    submit.add_argument("design", help="path to a .bench netlist")
-    add_client_arguments(submit)
-    submit.add_argument("--tenant", default="default",
-                        help="tenant to submit as (default: default)")
-    submit.add_argument("--name", default=None,
-                        help="job name (default: the netlist name)")
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--stream", type=int, choices=(1, 2), default=1,
-                        help="pattern-stream epoch for the job "
-                             "(default: 1, the legacy sequential stream)")
-    submit.add_argument("--no-wait", action="store_true",
-                        help="return after submission instead of waiting "
-                             "for the result")
-    submit.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="give up waiting after SECONDS")
-    submit.set_defaults(func=_cmd_submit)
-
-    bench = subparsers.add_parser(
-        "bench", help="load-test a job server (multi-tenant harness)"
-    )
-    from .service.loadtest import add_bench_arguments
-
-    add_bench_arguments(bench)
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

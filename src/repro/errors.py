@@ -89,42 +89,6 @@ class ScheduleError(ReproError, AssertionError):
     """
 
 
-# -- the job service ----------------------------------------------------------
-
-
-class ServiceError(ReproError):
-    """Base of the ATPG job service errors (:mod:`repro.service`).
-
-    Subclasses map one-to-one onto HTTP status codes, travel across the
-    wire as ``{"error": {"type": ..., "message": ...}}`` payloads, and
-    are re-raised *as the same type* by the client — a quota rejection
-    is a :class:`QuotaExceededError` whether it happened in-process or
-    three network hops away.
-    """
-
-
-class QuotaExceededError(ServiceError):
-    """A tenant has more live (queued or running) jobs than its quota."""
-
-
-class RateLimitedError(ServiceError):
-    """A tenant submitted faster than its token bucket refills."""
-
-
-class UnknownJobError(ServiceError, KeyError):
-    """A job id the server has never issued (or has already dropped)."""
-
-    def __str__(self) -> str:
-        # KeyError.__str__ repr()s its argument; keep the readable message.
-        return self.args[0] if self.args else ""
-
-
-class JobStateError(ServiceError):
-    """An operation that is invalid in the job's current state, e.g.
-    fetching the result of a still-queued job or cancelling a finished
-    one."""
-
-
 # -- job execution -----------------------------------------------------------
 
 

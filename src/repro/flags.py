@@ -1,11 +1,10 @@
 """The shared CLI flag registry behind every ``repro`` subcommand.
 
 One unified ``repro`` command fronts the whole reproduction — ``repro
-run`` (single-netlist ATPG), ``repro experiments``, ``repro serve`` /
-``repro submit`` / ``repro bench`` (the job service) — and they agree
-on flags because the flags are defined exactly once, here, as
-``add_*_arguments(parser)`` groups plus the matching ``*_from_args``
-constructors:
+run`` (single-netlist ATPG), ``repro vectors``, ``repro experiments``
+— and they agree on flags because the flags are defined exactly once,
+here, as ``add_*_arguments(parser)`` groups plus the matching
+``*_from_args`` constructors:
 
 =============================  ========================================
 :func:`add_runtime_arguments`  ``--workers --cache-dir --no-cache
@@ -16,14 +15,7 @@ constructors:
                                ATPG-running subcommand)
 :func:`add_experiment_arguments`  experiment-specific knobs
                                (``--tam-widths``, ...)
-:func:`add_service_arguments`  ``repro serve`` deployment knobs →
-                               :class:`~repro.service.ServiceConfig`
-:func:`add_client_arguments`   ``--host --port --tenant`` for
-                               service-facing subcommands
 =============================  ========================================
-
-:mod:`repro.experiments.runner` re-exports the historical names so
-pre-consolidation imports keep working.
 """
 
 from __future__ import annotations
@@ -232,64 +224,3 @@ def experiment_options(args: argparse.Namespace) -> Dict[str, Any]:
         "front_path": getattr(args, "tam_front", None),
     }
     return {key: value for key, value in mapping.items() if value is not None}
-
-
-# -- service flags ------------------------------------------------------
-
-
-def add_service_arguments(parser: argparse.ArgumentParser) -> None:
-    """Deployment knobs of ``repro serve`` (one-to-one with
-    :class:`~repro.service.ServiceConfig` — see its docstrings)."""
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=8765,
-                        help="bind port; 0 asks for an ephemeral one "
-                             "(default: 8765)")
-    parser.add_argument("--workers", type=_worker_count, default=1,
-                        metavar="N",
-                        help="executor worker processes per batch")
-    parser.add_argument("--batch-size", type=int, default=16, metavar="N",
-                        help="jobs drained from the fair-share queue per "
-                             "executor round (default: 16)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="shared result-cache directory")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the shared result cache")
-    parser.add_argument("--journal-dir", default=None, metavar="DIR",
-                        help="durability root: spool every submission and "
-                             "journal every result under DIR")
-    parser.add_argument("--resume", action="store_true",
-                        help="drain the backlog spooled in --journal-dir "
-                             "by a previous (possibly killed) server")
-    parser.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS", help="per-job deadline")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="re-queue a failed job up to N times")
-    parser.add_argument("--max-queued", type=int, default=100_000,
-                        metavar="N",
-                        help="per-tenant live-job quota (default: 100000)")
-    parser.add_argument("--rate-limit", type=float, default=None,
-                        metavar="PER_SECOND",
-                        help="per-tenant token-bucket submission rate "
-                             "(default: unlimited)")
-    parser.add_argument("--rate-burst", type=int, default=100, metavar="N",
-                        help="token-bucket burst capacity (default: 100)")
-    parser.add_argument("--backend", choices=("auto", "pure", "numpy"),
-                        default=None,
-                        help="default kernel backend for submitted jobs")
-    parser.add_argument("--trace", default=None, metavar="FILE",
-                        help="write a JSONL trace of the server's lifetime")
-    parser.add_argument("--metrics", action="store_true",
-                        help="enable the in-process telemetry tracer "
-                             "(served at /v1/metrics)")
-    parser.add_argument("--exit-when-idle", action="store_true",
-                        help="exit once the queue drains (backlog replay "
-                             "and CI smoke mode)")
-
-
-def add_client_arguments(parser: argparse.ArgumentParser) -> None:
-    """Where a service-facing subcommand finds its server."""
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="server address (default: 127.0.0.1)")
-    parser.add_argument("--port", type=int, default=8765,
-                        help="server port (default: 8765)")

@@ -115,10 +115,9 @@ class RunJournal:
         """Durably journal one fresh result (atomic, concurrency-safe).
 
         The tmp file name includes the pid and thread id, so concurrent
-        writers — the job service journaling batches while a CLI run
-        shares the directory, or two resumed runs racing — can never
-        interleave on one tmp path; last rename wins with a complete
-        file either way.
+        writers — two resumed runs racing on one directory, or threads
+        of one process — can never interleave on one tmp path; last
+        rename wins with a complete file either way.
         """
         payload = {
             "schema": SCHEMA_VERSION,

@@ -18,15 +18,7 @@ Everything shares the typed result hierarchy rooted at
 ``IdleBitReport``, ``AbortOnFailStudy``, ``CoOptResult``), each
 flattening to a JSON-able record via ``as_record()`` for the sweep
 engine.
-
-Deprecated (import still works, with a :class:`DeprecationWarning`):
-``CoOptimizationResult`` (now :class:`CoOptResult`),
-``schedule_summary`` (now ``Schedule.as_record()``), and
-``time_volume_tradeoff`` (now :func:`design_space`).
 """
-
-import warnings as _warnings
-from typing import Any
 
 from .abort_on_fail import (
     AbortOnFailStudy,
@@ -134,31 +126,3 @@ __all__ = [
     "width_saturation",
     "wrapper_bottlenecks",
 ]
-
-# Renamed/removed symbols of the pre-redesign API, kept importable
-# behind DeprecationWarning (PEP 562): the warning fires on attribute
-# access, so merely importing repro.tam stays deprecation-clean.
-_DEPRECATED = {
-    "CoOptimizationResult": "repro.tam.CoOptResult",
-    "schedule_summary": "Schedule.as_record()",
-    "time_volume_tradeoff": "repro.tam.design_space",
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED:
-        _warnings.warn(
-            f"repro.tam.{name} is deprecated; use {_DEPRECATED[name]} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if name == "CoOptimizationResult":
-            return CoOptResult
-        if name == "schedule_summary":
-            from .scheduling import _schedule_summary
-
-            return _schedule_summary
-        from .problem import _legacy_time_volume_tradeoff
-
-        return _legacy_time_volume_tradeoff
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,16 +25,10 @@ makespan, so its result is never worse than ``"greedy"`` for the same
 problem and candidate widths.  Pure best-fit usually wins outright;
 the portfolio turns "usually" into an invariant the experiment and CI
 can assert.
-
-The old per-module entry points (``cooptimize(specs, tam_width)``,
-``CoOptimizationResult``, ``time_volume_tradeoff``) keep working
-through :class:`DeprecationWarning` shims in
-:mod:`repro.tam.cooptimization` and the package root.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -45,7 +39,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..errors import ConfigError
@@ -66,8 +59,8 @@ TAM_COOPTIMIZATIONS = register_counter(
 #: Scheduler names accepted by :func:`cooptimize` (and the CLI flag).
 SCHEDULERS: Tuple[str, ...] = ("serial", "greedy", "binpack")
 
-#: The greedy width-enumeration candidates of the legacy API, kept as
-#: the default so old and new calls see identical schedules.
+#: The greedy width-enumeration candidates; the historical default, so
+#: the greedy schedules (and the ``tam`` experiment) stay unchanged.
 DEFAULT_CANDIDATE_WIDTHS: Tuple[int, ...] = (1, 2, 4, 8, 16)
 
 
@@ -251,8 +244,7 @@ def _solve(
 
 
 def cooptimize(
-    problem: Union[TamProblem, Sequence[CoreTestSpec]],
-    tam_width: Optional[int] = None,
+    problem: TamProblem,
     candidate_widths: Optional[Sequence[int]] = None,
     *,
     scheduler: str = "binpack",
@@ -260,33 +252,18 @@ def cooptimize(
 ) -> CoOptResult:
     """Solve one wrapper/TAM co-optimization problem.
 
-    New-style: ``cooptimize(TamProblem(...), scheduler="binpack",
-    runtime=runtime)``.  ``candidate_widths`` feeds the greedy
-    width-enumeration (and the binpack portfolio's baseline arm);
-    the best-fit packer itself always works from the cores' full
-    Pareto staircases.
-
-    Legacy-style ``cooptimize(specs, tam_width)`` still works — it maps
-    onto ``scheduler="greedy"`` with the historical candidate widths and
-    emits a :class:`DeprecationWarning`.
+    ``cooptimize(TamProblem(...), scheduler="binpack", runtime=runtime)``.
+    ``candidate_widths`` feeds the greedy width-enumeration (and the
+    binpack portfolio's baseline arm); the best-fit packer itself always
+    works from the cores' full Pareto staircases.  Anything but a
+    :class:`TamProblem` — such as the retired ``(specs, tam_width)``
+    call shape — raises :class:`~repro.errors.ConfigError`.
     """
     if not isinstance(problem, TamProblem):
-        warnings.warn(
-            "cooptimize(specs, tam_width) is deprecated; build a "
-            "TamProblem and call cooptimize(problem, scheduler=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        specs = tuple(problem)
-        if not specs:
-            raise ConfigError("no cores to schedule")
-        if tam_width is None:
-            raise ConfigError("legacy cooptimize(specs, ...) needs tam_width")
-        problem = TamProblem(cores=specs, tam_width=tam_width)
-        scheduler = "greedy"
-    elif tam_width is not None:
         raise ConfigError(
-            "tam_width is part of the TamProblem; do not pass it separately"
+            f"cooptimize expects a TamProblem, got "
+            f"{type(problem).__name__}; build one with "
+            f"TamProblem(cores=..., tam_width=...)"
         )
 
     if runtime is not None:
@@ -381,20 +358,3 @@ def pareto_front(results: Iterable[CoOptResult]) -> List[CoOptResult]:
         if not any(dominates(other, candidate) for other in pool)
     ]
     return sorted(front, key=lambda r: (r.tam_width, r.makespan, r.scheduler))
-
-
-def _legacy_time_volume_tradeoff(
-    specs: Sequence[CoreTestSpec],
-    tam_widths: Sequence[int],
-) -> List[Tuple[int, int, int]]:
-    """The pre-redesign ``time_volume_tradeoff`` — greedy enumeration.
-
-    Exposed through the deprecation shims only; new code calls
-    :func:`design_space` and reads the richer :class:`CoOptResult`.
-    """
-    points = []
-    for width in tam_widths:
-        problem = TamProblem(cores=tuple(specs), tam_width=width)
-        result = _cooptimize_active(problem, "greedy", None)
-        points.append((width, result.makespan, result.delivered_bits))
-    return points

@@ -28,8 +28,7 @@ bad parameters, :class:`~repro.errors.ScheduleError` from
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError
 from .types import CoreTestSpec, ParetoPoint, Schedule, ScheduledTest, pareto_widths
@@ -230,32 +229,3 @@ def makespan_lower_bound(specs: Sequence[CoreTestSpec], tam_width: int) -> int:
         best_times.append(staircase[-1].test_time_cycles)
         min_area += min(point.area for point in staircase)
     return max(max(best_times), math.ceil(min_area / tam_width))
-
-
-_DEPRECATED = {
-    "schedule_summary": "Schedule.as_record()",
-}
-
-
-def schedule_summary(schedule: Schedule) -> Dict[str, float]:
-    return {
-        "makespan": float(schedule.makespan),
-        "utilization": schedule.utilization(),
-        "tests": float(len(schedule.tests)),
-    }
-
-
-_schedule_summary = schedule_summary
-del schedule_summary
-
-
-def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"repro.tam.scheduling.{name} is deprecated; "
-            f"use {_DEPRECATED[name]} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return globals()[f"_{name}"]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

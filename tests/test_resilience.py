@@ -405,6 +405,44 @@ class TestJournalResume:
         assert len(job["key"]) == 64
 
 
+class TestJournalConcurrency:
+    def test_concurrent_record_same_key_never_tears(self, tmp_path, c17):
+        """Tmp names carry the pid and thread id, so writers racing on
+        one key never share a tmp path: last rename wins whole."""
+        import threading
+
+        from repro.atpg.engine import generate_tests
+
+        config = AtpgConfig(seed=1)
+        result = generate_tests(c17, seed=1)
+        journals = [RunJournal(tmp_path, resume=bool(i)) for i in range(2)]
+        errors = []
+
+        def hammer(journal):
+            try:
+                for _ in range(50):
+                    journal.record("k" * 16, "c17", config, result)
+            except Exception as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=hammer, args=(journal,))
+            for journal in journals
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        # The final file is a complete, valid record (never a torn mix).
+        payload = json.loads((tmp_path / "jobs" / ("k" * 16 + ".json")).read_text())
+        assert payload["key"] == "k" * 16
+        reader = RunJournal(tmp_path, resume=True)
+        assert reader.get("k" * 16) is not None
+        # No tmp litter left behind.
+        assert not list((tmp_path / "jobs").glob("*.tmp"))
+
+
 class TestRuntimeFlags:
     def test_retries_implies_retry_mode(self, tmp_path):
         runtime = Runtime.from_flags(no_cache=True, retries=2)
@@ -438,10 +476,10 @@ class TestRuntimeFlags:
 
 class TestCliResume:
     def test_experiments_resume_is_byte_identical(self, tmp_path, capsys):
-        from repro.experiments.runner import main
+        from repro.cli import main
 
         run_dir = str(tmp_path / "run")
-        base = ["cone-example", "--no-cache", "--run-dir", run_dir]
+        base = ["experiments", "cone-example", "--no-cache", "--run-dir", run_dir]
         assert main(base) == 0
         first_out = capsys.readouterr().out
         manifest_bytes = (tmp_path / "run" / "manifest.json").read_bytes()
@@ -454,10 +492,11 @@ class TestCliResume:
         assert "0 executed" in captured.err
 
     def test_experiments_rejects_dirty_run_dir(self, tmp_path, capsys):
-        from repro.experiments.runner import main
+        from repro.cli import main
 
-        run_dir = str(tmp_path / "run")
-        assert main(["cone-example", "--no-cache", "--run-dir", run_dir]) == 0
+        argv = ["experiments", "cone-example", "--no-cache",
+                "--run-dir", str(tmp_path / "run")]
+        assert main(argv) == 0
         capsys.readouterr()
         with pytest.raises(ConfigError):
-            main(["cone-example", "--no-cache", "--run-dir", run_dir])
+            main(argv)

@@ -278,12 +278,12 @@ class TestCliPlumbing:
 
     def test_runner_seed_threads_into_synthetic_sweep(self, tmp_path, capsys):
         """--seed reaches experiments that used to drop it (correlation)."""
-        from repro.experiments.runner import main as runner_main
+        from repro.cli import main
 
-        base = ["correlation", "--no-cache"]
-        assert runner_main(base) == 0
+        base = ["experiments", "correlation", "--no-cache"]
+        assert main(base) == 0
         default_out = capsys.readouterr().out
-        assert runner_main(base + ["--seed", "99"]) == 0
+        assert main(base + ["--seed", "99"]) == 0
         seeded_out = capsys.readouterr().out
         # The benchmark half (published data) is identical; the seeded
         # synthetic sweep differs.
@@ -292,14 +292,14 @@ class TestCliPlumbing:
             seeded_out.split("synthetic sweep")[0]
 
     def test_runner_manifest_on_stderr(self, tmp_path, capsys):
-        from repro.experiments.runner import main as runner_main
+        from repro.cli import main
 
         cache_dir = str(tmp_path / "cache")
-        argv = ["cone-example", "--cache-dir", cache_dir]
-        assert runner_main(argv) == 0
+        argv = ["experiments", "cone-example", "--cache-dir", cache_dir]
+        assert main(argv) == 0
         cold = capsys.readouterr()
         assert "[runtime]" in cold.err and "0 cache hits" in cold.err
-        assert runner_main(argv) == 0
+        assert main(argv) == 0
         warm = capsys.readouterr()
         assert warm.out == cold.out
         assert "(100%)" in warm.err

@@ -3,8 +3,8 @@
 Covers the redesigned API (TamProblem / cooptimize / CoOptResult /
 design_space / pareto_front), the best-fit rectangle packer and its
 differential guarantees against the greedy baseline, the closed-form
-wrapper fast path, the typed scheduling errors, the deprecation shims,
-and the ``tam`` experiment's byte-identity across serial, parallel and
+wrapper fast path, the typed scheduling errors, and the ``tam``
+experiment's byte-identity across serial, parallel and
 killed-and-resumed runs.
 """
 
@@ -19,7 +19,6 @@ import pytest
 from repro.errors import ConfigError, ReproError, ScheduleError
 from repro.itc02 import load_many
 from repro.tam import (
-    CoOptResult,
     CoreTestSpec,
     Schedule,
     ScheduledTest,
@@ -232,9 +231,19 @@ class TestCooptimizeApi:
         assert "makespan" in record and "idle_fraction" in record
 
     def test_separate_tam_width_rejected_with_problem(self, specs):
+        """The width lives in the TamProblem; the retired ``tam_width``
+        keyword is gone, so passing it is a TypeError."""
         problem = TamProblem(cores=specs, tam_width=8)
-        with pytest.raises(ConfigError, match="part of the TamProblem"):
+        with pytest.raises(TypeError):
             cooptimize(problem, tam_width=8)
+
+    @pytest.mark.parametrize("width", [12, None])
+    def test_non_problem_argument_is_typed_error(self, specs, width):
+        """The retired ``cooptimize(specs, tam_width)`` shape raises
+        ConfigError naming TamProblem, never a crash in the solver."""
+        args = (specs,) if width is None else (specs, width)
+        with pytest.raises(ConfigError, match="TamProblem"):
+            cooptimize(*args)
 
     def test_unknown_scheduler_rejected(self, specs):
         problem = TamProblem(cores=specs, tam_width=8)
@@ -275,54 +284,6 @@ class TestCooptimizeApi:
                 assert not dominated
 
 
-class TestDeprecationShims:
-    def test_legacy_cooptimize_warns_and_matches_greedy(self, specs):
-        with pytest.deprecated_call():
-            legacy = cooptimize(specs, tam_width=12)
-        modern = cooptimize(
-            TamProblem(cores=specs, tam_width=12), scheduler="greedy"
-        )
-        assert legacy.makespan == modern.makespan
-        assert legacy.assigned_widths == modern.assigned_widths
-        assert legacy.delivered_bits == modern.delivered_bits
-
-    def test_legacy_result_name_importable(self):
-        with pytest.deprecated_call():
-            from repro.tam import CoOptimizationResult
-        assert CoOptimizationResult is CoOptResult
-
-    def test_legacy_tradeoff_matches_design_space(self, specs):
-        with pytest.deprecated_call():
-            from repro.tam import time_volume_tradeoff
-        points = time_volume_tradeoff(specs, tam_widths=[2, 4, 8])
-        problem = TamProblem(cores=specs, tam_width=8)
-        results = design_space(
-            problem, tam_widths=[2, 4, 8], schedulers=("greedy",)
-        )
-        assert points == [
-            (r.tam_width, r.makespan, r.delivered_bits) for r in results
-        ]
-
-    def test_legacy_schedule_summary_warns(self, specs):
-        with pytest.deprecated_call():
-            from repro.tam import schedule_summary
-        schedule = schedule_best_fit(specs, tam_width=4)
-        summary = schedule_summary(schedule)
-        assert summary["tests"] == float(len(schedule.tests))
-
-    def test_legacy_module_import_stays_clean(self):
-        """Importing the shim module itself must not warn — only
-        touching a deprecated name does."""
-        import importlib
-        import warnings as warnings_module
-
-        import repro.tam.cooptimization as shim
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", DeprecationWarning)
-            importlib.reload(shim)
-
-
 class TestTamExperiment:
     """The `tam` experiment: output identical serial, parallel, resumed."""
 
@@ -332,7 +293,7 @@ class TestTamExperiment:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "tam",
+            [sys.executable, "-m", "repro", "experiments", "tam",
              *self.ARGS, *extra],
             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
@@ -374,7 +335,7 @@ class TestTamExperiment:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "tam",
+            [sys.executable, "-m", "repro", "experiments", "tam",
              "--tam-socs", "nope"],
             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
         )
