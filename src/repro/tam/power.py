@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, ScheduleError
-from .scheduling import _test_time
 from .types import CoreTestSpec, Schedule, ScheduledTest
 
 
@@ -73,7 +72,7 @@ def schedule_power_constrained(
                 f"({power[spec.name]} > {power_budget})"
             )
 
-    durations = {spec.name: _test_time(spec, width) for spec in specs}
+    durations = {spec.name: spec.test_time_cycles(width) for spec in specs}
     ordered = sorted(specs, key=lambda s: -durations[s.name])
     placed: List[ScheduledTest] = []
     wire_free = [0] * tam_width

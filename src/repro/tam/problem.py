@@ -30,6 +30,7 @@ can assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Any,
     ClassVar,
@@ -72,7 +73,8 @@ class TamProblem:
     directly from specs, or with :meth:`from_soc` /
     :meth:`from_benchmark` which derive the specs the same way the
     architecture studies do (balanced internal chains unless an explicit
-    partition is given; the top core excluded).
+    partition is given; the top core excluded).  ``tam_width`` must be
+    an ``int`` (not a ``bool``) of at least 1.
     """
 
     cores: Tuple[CoreTestSpec, ...]
@@ -80,6 +82,10 @@ class TamProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cores", tuple(self.cores))
+        if not isinstance(self.tam_width, int) or isinstance(self.tam_width, bool):
+            raise ConfigError(
+                f"tam_width must be an int, got {self.tam_width!r}"
+            )
         if self.tam_width < 1:
             raise ConfigError(f"tam_width must be >= 1, got {self.tam_width}")
         if not self.cores:
@@ -124,15 +130,23 @@ class TamProblem:
         """The same cores under a different TAM budget."""
         return TamProblem(cores=self.cores, tam_width=tam_width)
 
-    def pareto_sets(self) -> Dict[str, List[ParetoPoint]]:
-        """Each core's Pareto-optimal width staircase up to the TAM width."""
+    @cached_property
+    def _staircases(self) -> Dict[str, List[ParetoPoint]]:
+        """Each core's staircase, built once for this instance: the
+        best-fit packer and :meth:`lower_bound` both read it."""
         return {
             core.name: pareto_widths(core, self.tam_width) for core in self.cores
         }
 
+    def pareto_sets(self) -> Dict[str, List[ParetoPoint]]:
+        """Each core's Pareto-optimal width staircase up to the TAM width."""
+        return {name: list(points) for name, points in self._staircases.items()}
+
     def lower_bound(self) -> int:
         """A makespan no schedule of this problem can beat."""
-        return makespan_lower_bound(self.cores, self.tam_width)
+        return makespan_lower_bound(
+            self.cores, self.tam_width, staircases=self._staircases
+        )
 
     def useful_bits(self) -> int:
         """Care-capable bits of the whole session (width-independent)."""
@@ -232,7 +246,9 @@ def _solve(
             raise ConfigError("no candidate width fits the TAM")
         return schedule
     if scheduler == "binpack":
-        packed = schedule_best_fit(problem.cores, problem.tam_width)
+        packed = schedule_best_fit(
+            problem.cores, problem.tam_width, staircases=problem._staircases
+        )
         baseline = _greedy_enumeration(problem, candidate_widths)
         # Portfolio: never worse than the greedy baseline, by construction.
         if baseline is not None and baseline.makespan < packed.makespan:

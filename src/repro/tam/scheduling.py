@@ -28,11 +28,14 @@ bad parameters, :class:`~repro.errors.ScheduleError` from
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..errors import ConfigError
 from .types import CoreTestSpec, ParetoPoint, Schedule, ScheduledTest, pareto_widths
-from .wrapper_design import wrapper_bottlenecks
+
+#: Core name -> its Pareto staircase up to the TAM width, as
+#: :func:`~repro.tam.types.pareto_widths` builds it.
+Staircases = Mapping[str, Sequence[ParetoPoint]]
 
 __all__ = [
     "Schedule",
@@ -44,16 +47,10 @@ __all__ = [
 ]
 
 
-def _test_time(spec: CoreTestSpec, width: int) -> int:
-    """Shift-dominated test time of ``spec`` at ``width`` wires.
-
-    Duck-typed on the :class:`CoreTestSpec` fields so legacy spec
-    objects (anything with the same five attributes) still schedule.
-    """
-    si, so = wrapper_bottlenecks(
-        spec.scan_chains, spec.input_cells, spec.output_cells, width
-    )
-    return (1 + max(si, so)) * spec.patterns + min(si, so)
+def _build_staircases(
+    specs: Sequence[CoreTestSpec], tam_width: int
+) -> Staircases:
+    return {spec.name: pareto_widths(spec, tam_width) for spec in specs}
 
 
 def schedule_serial(specs: Sequence[CoreTestSpec], tam_width: int) -> Schedule:
@@ -63,10 +60,12 @@ def schedule_serial(specs: Sequence[CoreTestSpec], tam_width: int) -> Schedule:
     tests = []
     clock = 0
     for spec in specs:
-        duration = _test_time(spec, tam_width)
+        duration = spec.test_time_cycles(tam_width)
         tests.append(ScheduledTest(spec.name, tam_width, clock, clock + duration))
         clock += duration
-    return Schedule(tam_width=tam_width, tests=tests)
+    schedule = Schedule(tam_width=tam_width, tests=tests)
+    schedule.verify()
+    return schedule
 
 
 def schedule_greedy(
@@ -86,7 +85,7 @@ def schedule_greedy(
     width = min(preferred_width, tam_width)
     if width < 1:
         raise ConfigError(f"preferred_width must be >= 1, got {preferred_width}")
-    durations = {spec.name: _test_time(spec, width) for spec in specs}
+    durations = {spec.name: spec.test_time_cycles(width) for spec in specs}
     ordered = sorted(specs, key=lambda s: -durations[s.name])
     # Track per-wire next-free time; a test takes the `width` wires that
     # free up earliest and starts when the last of them is free.
@@ -108,6 +107,8 @@ def schedule_best_fit(
     specs: Sequence[CoreTestSpec],
     tam_width: int,
     candidate_widths: Optional[Sequence[int]] = None,
+    *,
+    staircases: Optional[Staircases] = None,
 ) -> Schedule:
     """Best-fit-decreasing rectangle packing over Pareto width candidates.
 
@@ -129,7 +130,9 @@ def schedule_best_fit(
 
     Width safety is structural — placement assigns concrete wires, so
     the budget cannot be exceeded — and :meth:`Schedule.verify` checks
-    it anyway.
+    it anyway.  ``staircases`` passes the cores' staircases when the
+    caller already built them (a :class:`~repro.tam.problem.TamProblem`
+    builds them once for the packer and its lower bound).
     """
     if tam_width < 1:
         raise ConfigError(f"tam_width must be >= 1, got {tam_width}")
@@ -145,25 +148,18 @@ def schedule_best_fit(
                 f"fits a TAM of width {tam_width}"
             )
 
-    candidates: Dict[str, List[ParetoPoint]] = {}
+    if staircases is None:
+        staircases = _build_staircases(specs, tam_width)
+    candidates: Dict[str, Sequence[ParetoPoint]] = {}
     for spec in specs:
-        points = [
-            ParetoPoint(width=w, test_time_cycles=_test_time(spec, w))
-            for w in range(1, tam_width + 1)
-        ]
-        staircase: List[ParetoPoint] = []
-        best = None
-        for point in points:
-            if best is None or point.test_time_cycles < best:
-                staircase.append(point)
-                best = point.test_time_cycles
+        staircase = staircases[spec.name]
         if allowed is not None:
             kept = [p for p in staircase if p.width in allowed]
             # A restricted width set may skip every staircase width; fall
             # back to the allowed widths themselves (still Pareto-pruned
             # by the best-fit choice below).
             staircase = kept or [
-                ParetoPoint(width=w, test_time_cycles=_test_time(spec, w))
+                ParetoPoint(width=w, test_time_cycles=spec.test_time_cycles(w))
                 for w in sorted(allowed)
             ]
         candidates[spec.name] = staircase
@@ -211,21 +207,29 @@ def schedule_best_fit(
     return schedule
 
 
-def makespan_lower_bound(specs: Sequence[CoreTestSpec], tam_width: int) -> int:
+def makespan_lower_bound(
+    specs: Sequence[CoreTestSpec],
+    tam_width: int,
+    *,
+    staircases: Optional[Staircases] = None,
+) -> int:
     """A simple lower bound no schedule at this width can beat.
 
     The larger of (a) the slowest core's best achievable time — some
     test must run that long — and (b) the total minimum rectangle area
-    spread perfectly over all wires.
+    spread perfectly over all wires.  ``staircases`` passes the cores'
+    staircases when the caller already built them.
     """
     if tam_width < 1:
         raise ConfigError(f"tam_width must be >= 1, got {tam_width}")
     if not specs:
         return 0
+    if staircases is None:
+        staircases = _build_staircases(specs, tam_width)
     best_times = []
     min_area = 0
     for spec in specs:
-        staircase = pareto_widths(spec, tam_width)
+        staircase = staircases[spec.name]
         best_times.append(staircase[-1].test_time_cycles)
         min_area += min(point.area for point in staircase)
     return max(max(best_times), math.ceil(min_area / tam_width))

@@ -60,15 +60,38 @@ class TamResult:
         return f"{self.kind}({parts})"
 
 
+def _is_count(value: Any) -> bool:
+    """An ``int`` (never a ``bool``) that is not negative."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class CoreTestSpec:
-    """What TAM design needs to know about one core's test."""
+    """What TAM design needs to know about one core's test.
+
+    Pattern, cell and chain-length counts must be non-negative ``int``
+    values; anything else raises :class:`~repro.errors.ConfigError`.
+    """
 
     name: str
     scan_chains: Sequence[int]
     input_cells: int
     output_cells: int
     patterns: int
+
+    def __post_init__(self) -> None:
+        for attr in ("input_cells", "output_cells", "patterns"):
+            value = getattr(self, attr)
+            if not _is_count(value):
+                raise ConfigError(
+                    f"core {self.name!r}: {attr} must be an int >= 0, "
+                    f"got {value!r}"
+                )
+        if not all(_is_count(length) for length in self.scan_chains):
+            raise ConfigError(
+                f"core {self.name!r}: scan chain lengths must be ints >= 0, "
+                f"got {list(self.scan_chains)!r}"
+            )
 
     @property
     def total_scan(self) -> int:
@@ -128,9 +151,18 @@ def pareto_widths(spec: CoreTestSpec, max_width: int) -> List[ParetoPoint]:
     A width is kept only if it strictly beats every narrower width —
     the staircase effect of unsplittable internal scan chains: once the
     longest chain is alone on a wire, extra wires stop helping.
+
+    The scan stops at the saturation width: every chain has a wire of
+    its own (width >= chain count) and the scan cells plus the input or
+    output cells fit under the longest chain (under one cell per wire
+    for a core without scan).  Every wider wrapper has the same
+    bottlenecks, so no wider width can join the staircase.
     """
     if max_width < 1:
         raise ConfigError(f"max_width must be >= 1, got {max_width}")
+    chains = len(spec.scan_chains)
+    floor = max(max(spec.scan_chains, default=0), 1)
+    widest_path = spec.total_scan + max(spec.input_cells, spec.output_cells)
     points: List[ParetoPoint] = []
     best = None
     for width in range(1, max_width + 1):
@@ -138,6 +170,8 @@ def pareto_widths(spec: CoreTestSpec, max_width: int) -> List[ParetoPoint]:
         if best is None or time < best:
             points.append(ParetoPoint(width=width, test_time_cycles=time))
             best = time
+        if width >= chains and widest_path <= floor * width:
+            break
     return points
 
 

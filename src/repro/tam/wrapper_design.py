@@ -139,12 +139,15 @@ def balanced_chain_lengths(total_cells: int, chain_count: int) -> List[int]:
 # -- closed-form fast path ---------------------------------------------------
 #
 # The co-optimizer enumerates a core's whole Pareto staircase (every TAM
-# width 1..W), and the tam experiment does that for every core of every
-# ITC'02 SOC.  Materializing a WrapperDesign per width is O(cells) per
-# wrapper because _spread_cells places wrapper cells one at a time; the
-# functions below compute only the two numbers the cost model needs —
-# the scan-in/scan-out bottleneck lengths — in O(chains log width).
-# They are differentially tested against design_wrapper.
+# width up to the core's saturation width), and the tam experiment does
+# that for every core of every ITC'02 SOC.  Materializing a
+# WrapperDesign per width is O(cells) per wrapper because _spread_cells
+# places wrapper cells one at a time; the functions below compute only
+# the two numbers the cost model needs — the scan-in/scan-out bottleneck
+# lengths.  Spreading the cells is closed-form, so a core with no more
+# internal chains than wires costs O(chains) per width, and one with
+# more chains adds the O(chains log width) heap partition.  They are
+# differentially tested against design_wrapper.
 
 
 def partition_scan_lengths(
@@ -170,30 +173,27 @@ def partition_scan_lengths(
     return lengths
 
 
+def _fill_level(top: int, total: int, chains: int, cells: int) -> int:
+    """Water-filling level of ``cells`` over ``chains`` chains whose
+    longest is ``top`` and whose lengths sum to ``total``."""
+    if cells < 0:
+        raise ConfigError("cell counts must be >= 0")
+    return max(top, -(-(cells + total) // chains))
+
+
 def spread_level(lengths: Sequence[int], cells: int) -> int:
     """Bottleneck after greedily spreading ``cells`` over ``lengths``.
 
     Equals ``max(chain lengths)`` after :func:`_spread_cells` adds
     ``cells`` single-register wrapper cells one at a time to the current
     minimum: water-filling — the cells fill the valleys below the
-    existing top first, and only a surplus raises the bottleneck, to the
-    least level whose capacity ``sum(max(0, level - s))`` holds them all.
+    existing top first, and only a surplus raises the bottleneck, evenly
+    over all chains.  Closed form:
+    ``max(top, ceil((cells + sum(lengths)) / len(lengths)))``.
     """
-    if cells < 0:
-        raise ConfigError("cell counts must be >= 0")
     if not lengths:
         raise ConfigError("need at least one chain to spread cells over")
-    top = max(lengths)
-    if sum(top - s for s in lengths) >= cells:
-        return top
-    low, high = top, top + cells
-    while low < high:
-        mid = (low + high) // 2
-        if sum(mid - s for s in lengths) >= cells:
-            high = mid
-        else:
-            low = mid + 1
-    return low
+    return _fill_level(max(lengths), sum(lengths), len(lengths), cells)
 
 
 def wrapper_bottlenecks(
@@ -207,10 +207,20 @@ def wrapper_bottlenecks(
     Input and output cells spread independently over the same internal
     scan partition (a wrapper cell sits on only one of the two paths),
     so each bottleneck is one :func:`spread_level` over the
-    :func:`partition_scan_lengths` baseline.
+    :func:`partition_scan_lengths` baseline.  With no more chains than
+    wires, LPT gives every chain a wire of its own, so the baseline's
+    top is the longest chain and no partition is built.
     """
-    lengths = partition_scan_lengths(scan_chains, tam_width)
+    if tam_width < 1:
+        raise ConfigError(f"tam_width must be >= 1, got {tam_width}")
+    if len(scan_chains) > tam_width:
+        lengths = partition_scan_lengths(scan_chains, tam_width)
+        top, total = max(lengths), sum(lengths)
+    else:
+        if min(scan_chains, default=0) < 0:
+            raise ConfigError("scan chain lengths must be >= 0")
+        top, total = max(scan_chains, default=0), sum(scan_chains)
     return (
-        spread_level(lengths, input_cells),
-        spread_level(lengths, output_cells),
+        _fill_level(top, total, tam_width, input_cells),
+        _fill_level(top, total, tam_width, output_cells),
     )

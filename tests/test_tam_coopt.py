@@ -3,39 +3,110 @@
 Covers the redesigned API (TamProblem / cooptimize / CoOptResult /
 design_space / pareto_front), the best-fit rectangle packer and its
 differential guarantees against the greedy baseline, the closed-form
-wrapper fast path, the typed scheduling errors, and the ``tam``
-experiment's byte-identity across serial, parallel and
-killed-and-resumed runs.
+wrapper fast path against a reference copy of the binary-search /
+full-scan implementation it replaced, the typed input and scheduling
+errors, and the ``tam`` experiment's byte-identity across serial,
+parallel and killed-and-resumed runs.
 """
 
+import heapq
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, ReproError, ScheduleError
-from repro.itc02 import load_many
+from repro.itc02 import BENCHMARK_NAMES, load, load_many
 from repro.tam import (
+    SCHEDULERS,
     CoreTestSpec,
+    ParetoPoint,
     Schedule,
     ScheduledTest,
     TamProblem,
     cooptimize,
+    core_specs_from_soc,
     design_space,
     design_wrapper,
     makespan_lower_bound,
     pareto_front,
+    pareto_widths,
     partition_scan_lengths,
     schedule_best_fit,
     schedule_greedy,
+    schedule_serial,
     spread_level,
     wrapper_bottlenecks,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+# -- reference implementation -------------------------------------------------
+#
+# The width -> test-time path as it stood before the closed-form fast
+# path: an LPT heap partition at every width, a binary search for each
+# water-filling level, and a staircase scan over every width up to the
+# limit.  Slow but obviously faithful to design_wrapper; the fast path
+# must reproduce its integers exactly.
+
+
+def reference_partition(scan_chains, tam_width):
+    heap = [(0, index) for index in range(tam_width)]
+    lengths = [0] * tam_width
+    for length in sorted(scan_chains, reverse=True):
+        current, index = heapq.heappop(heap)
+        lengths[index] = current + length
+        heapq.heappush(heap, (lengths[index], index))
+    return lengths
+
+
+def reference_spread_level(lengths, cells):
+    top = max(lengths)
+    if sum(top - s for s in lengths) >= cells:
+        return top
+    low, high = top, top + cells
+    while low < high:
+        mid = (low + high) // 2
+        if sum(mid - s for s in lengths) >= cells:
+            high = mid
+        else:
+            low = mid + 1
+    return low
+
+
+def reference_bottlenecks(spec, tam_width):
+    lengths = reference_partition(spec.scan_chains, tam_width)
+    return (
+        reference_spread_level(lengths, spec.input_cells),
+        reference_spread_level(lengths, spec.output_cells),
+    )
+
+
+def reference_staircase(times):
+    """Pareto points of ``times[w - 1]`` = test time at width ``w``."""
+    points = []
+    best = None
+    for width, time in enumerate(times, start=1):
+        if best is None or time < best:
+            points.append(ParetoPoint(width=width, test_time_cycles=time))
+            best = time
+    return points
+
+
+def reference_lower_bound(staircases, tam_width):
+    best_times = []
+    min_area = 0
+    for staircase in staircases:
+        best_times.append(staircase[-1].test_time_cycles)
+        min_area += min(point.area for point in staircase)
+    return max(max(best_times), math.ceil(min_area / tam_width))
 
 
 @pytest.fixture
@@ -84,6 +155,117 @@ class TestWrapperFastPath:
         # No scan at all: pure cell spreading.
         assert spread_level([0, 0], 5) == 3
         assert spread_level([4], 0) == 4
+
+    def test_public_helpers_keep_their_checks(self):
+        with pytest.raises(ConfigError):
+            wrapper_bottlenecks([], 1, 1, 0)
+        with pytest.raises(ConfigError):
+            wrapper_bottlenecks([4, -1], 1, 1, 8)
+        with pytest.raises(ConfigError):
+            wrapper_bottlenecks([4, -1, 3], 1, 1, 2)
+        with pytest.raises(ConfigError):
+            wrapper_bottlenecks([4], -1, 1, 8)
+        with pytest.raises(ConfigError):
+            partition_scan_lengths([4, -1], 2)
+        with pytest.raises(ConfigError):
+            spread_level([], 3)
+        with pytest.raises(ConfigError):
+            spread_level([3], -1)
+
+
+class TestFastPathDifferential:
+    """The closed-form path against the reference copy above."""
+
+    def test_every_itc02_core_matches_reference(self):
+        """Every core of the ten ITC'02 SOCs under the tam experiment's
+        chain strategies, at every width 1..64: bottlenecks, the
+        saturating staircase and every problem's lower bound."""
+        max_width = 64
+        cases = 0
+        for soc_name in BENCHMARK_NAMES:
+            soc = load(soc_name)
+            for chain_count in (1, 4, 16):
+                specs = core_specs_from_soc(
+                    soc, default_chain_count=chain_count
+                )
+                staircases = []
+                for spec in specs:
+                    times = []
+                    for width in range(1, max_width + 1):
+                        si, so = reference_bottlenecks(spec, width)
+                        fast = wrapper_bottlenecks(
+                            spec.scan_chains, spec.input_cells,
+                            spec.output_cells, width,
+                        )
+                        assert fast == (si, so), (soc_name, spec.name, width)
+                        times.append(
+                            (1 + max(si, so)) * spec.patterns + min(si, so)
+                        )
+                        cases += 1
+                    staircase = reference_staircase(times)
+                    assert pareto_widths(spec, max_width) == staircase, (
+                        soc_name, spec.name,
+                    )
+                    staircases.append(staircase)
+                for width in range(1, max_width + 1):
+                    capped = [
+                        [p for p in staircase if p.width <= width]
+                        for staircase in staircases
+                    ]
+                    problem = TamProblem(cores=specs, tam_width=width)
+                    assert problem.lower_bound() == reference_lower_bound(
+                        capped, width
+                    ), (soc_name, chain_count, width)
+        assert cases == 30144
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chains=st.lists(st.integers(0, 30), max_size=8),
+        input_cells=st.integers(0, 40),
+        output_cells=st.integers(0, 40),
+        patterns=st.integers(0, 50),
+        max_width=st.integers(1, 12),
+    )
+    @example(chains=[], input_cells=7, output_cells=3, patterns=5, max_width=9)
+    @example(chains=[0, 0, 6], input_cells=2, output_cells=9, patterns=4,
+             max_width=6)
+    @example(chains=[9, 7, 7, 3, 1], input_cells=4, output_cells=11,
+             patterns=3, max_width=3)
+    @example(chains=[5, 5], input_cells=0, output_cells=0, patterns=8,
+             max_width=4)
+    @example(chains=[], input_cells=0, output_cells=0, patterns=2,
+             max_width=3)
+    # One wire short of the chain count, the cells already fit under
+    # the longest chain, yet LPT stacks 6 + 5 above it: the staircase
+    # must not saturate before width 4.
+    @example(chains=[10, 6, 6, 5], input_cells=0, output_cells=2,
+             patterns=3, max_width=6)
+    def test_small_specs_match_design_wrapper(
+        self, chains, input_cells, output_cells, patterns, max_width
+    ):
+        """Random small specs — chains > width, zero-length chains, no
+        chains, zero cells — against the materialized wrapper."""
+        spec = CoreTestSpec("x", chains, input_cells, output_cells, patterns)
+        times = []
+        for width in range(1, max_width + 1):
+            wrapper = design_wrapper(
+                "x", chains, input_cells, output_cells, width
+            )
+            fast = wrapper_bottlenecks(chains, input_cells, output_cells, width)
+            assert fast == (wrapper.max_scan_in, wrapper.max_scan_out), width
+            assert fast == reference_bottlenecks(spec, width), width
+            times.append(wrapper.test_time_cycles(patterns))
+        assert pareto_widths(spec, max_width) == reference_staircase(times)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 50), min_size=1, max_size=10),
+        cells=st.integers(0, 200),
+    )
+    def test_spread_level_matches_binary_search(self, lengths, cells):
+        assert spread_level(lengths, cells) == reference_spread_level(
+            lengths, cells
+        )
 
 
 class TestBestFitScheduler:
@@ -134,6 +316,15 @@ class TestBestFitScheduler:
         with pytest.raises(ConfigError):
             schedule_best_fit(specs, tam_width=0)
 
+    def test_prebuilt_staircases_give_the_same_schedule(self, specs):
+        staircases = TamProblem(cores=specs, tam_width=8).pareto_sets()
+        assert schedule_best_fit(
+            specs, tam_width=8, staircases=staircases
+        ) == schedule_best_fit(specs, tam_width=8)
+        assert makespan_lower_bound(
+            specs, 8, staircases=staircases
+        ) == makespan_lower_bound(specs, 8)
+
 
 class TestScheduleErrors:
     def test_schedule_error_is_typed_and_legacy_compatible(self):
@@ -178,6 +369,98 @@ class TestScheduleErrors:
         schedule.verify()
         assert schedule.makespan == 0
         assert schedule.utilization() == 0.0
+
+    def test_every_scheduler_verifies_its_schedule(self):
+        """A spec forced past its own validation (negative patterns, so
+        a negative test time) must fail verification under every
+        scheduler — serial once returned makespan -55 for it."""
+        spec = CoreTestSpec("a", [5], 1, 1, 1)
+        object.__setattr__(spec, "patterns", -10)
+        problem = TamProblem(cores=[spec], tam_width=8)
+        for scheduler in SCHEDULERS:
+            with pytest.raises(ScheduleError, match="negative duration"):
+                cooptimize(problem, scheduler=scheduler)
+        with pytest.raises(ScheduleError):
+            schedule_serial([spec], 8)
+
+
+# -- typed input errors --------------------------------------------------------
+
+#: Values fuzzed into the TAM width: valid widths, out-of-range ints and
+#: the wrong types (``8.5`` leaked a TypeError from ``range``, ``"8"``
+#: one from ``<``, and ``True`` was scheduled as width 1).
+tam_widths = st.one_of(
+    st.integers(-2, 24),
+    st.floats(allow_nan=True),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+)
+
+#: CoreTestSpec arguments, built inside the test so that a refused
+#: spec is an outcome under test rather than a generation error.
+core_fields = st.tuples(
+    st.sampled_from("abcd"),
+    st.lists(st.integers(-2, 40), max_size=5),
+    st.integers(-2, 30),
+    st.integers(-2, 30),
+    st.integers(-2, 40),
+)
+
+
+class TestTypedInputErrors:
+    @pytest.mark.parametrize("field,value", [
+        ("patterns", -10),
+        ("input_cells", -1),
+        ("output_cells", -1),
+        ("patterns", 2.5),
+        ("input_cells", "3"),
+        ("output_cells", True),
+    ])
+    def test_core_spec_rejects_bad_counts(self, field, value):
+        fields = dict(name="a", scan_chains=[5], input_cells=1,
+                      output_cells=1, patterns=3)
+        fields[field] = value
+        with pytest.raises(ConfigError, match=field):
+            CoreTestSpec(**fields)
+
+    @pytest.mark.parametrize("chains", [[5, -1], [5, 2.0], [None]])
+    def test_core_spec_rejects_bad_chain_lengths(self, chains):
+        with pytest.raises(ConfigError, match="scan chain lengths"):
+            CoreTestSpec("a", chains, 1, 1, 3)
+
+    def test_negative_patterns_rejected_at_build_time(self):
+        """The spec that once scheduled serially to makespan -55."""
+        with pytest.raises(ConfigError, match="patterns"):
+            cooptimize(
+                TamProblem([CoreTestSpec("a", [5], 1, 1, -10)], 8),
+                scheduler="serial",
+            )
+
+    @pytest.mark.parametrize("width", [8.5, "8", True, None, 8.0])
+    def test_problem_rejects_non_int_width(self, specs, width):
+        with pytest.raises(ConfigError, match="tam_width"):
+            TamProblem(cores=specs, tam_width=width)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cores=st.lists(core_fields, max_size=4), tam_width=tam_widths)
+    def test_building_and_solving_raise_only_typed_errors(
+        self, cores, tam_width
+    ):
+        """Anything that goes in either builds a valid problem that
+        every scheduler solves within its lower bound, or is refused
+        with a ReproError subclass."""
+        try:
+            problem = TamProblem(
+                cores=[CoreTestSpec(*fields) for fields in cores],
+                tam_width=tam_width,
+            )
+        except ReproError:
+            return
+        for scheduler in SCHEDULERS:
+            result = cooptimize(problem, scheduler=scheduler)
+            result.schedule.verify()
+            assert result.makespan >= result.lower_bound
 
 
 class TestTamProblem:
