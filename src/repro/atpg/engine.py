@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Deque, Dict, List, Optional
 
 from ..circuit.cones import Cone, extract_cones
@@ -140,14 +141,14 @@ class _PatternBlock:
             self.ones = ones
             self.zeros = zeros
         else:
-            shift = self.count
+            # At width 1 each rail entry is 0 or 1, so compress() yields
+            # exactly the nets the sweep left non-X on that rail.
+            bit = 1 << self.count
             block_ones, block_zeros = self.ones, self.zeros
-            for net_id, one in enumerate(ones):
-                if one:
-                    block_ones[net_id] |= one << shift
-            for net_id, zero in enumerate(zeros):
-                if zero:
-                    block_zeros[net_id] |= zero << shift
+            for net_id in compress(count(), ones):
+                block_ones[net_id] |= bit
+            for net_id in compress(count(), zeros):
+                block_zeros[net_id] |= bit
         self.count += 1
 
     def detects(self, fault: Fault) -> bool:

@@ -100,11 +100,37 @@ class TestSet:
         return sum(p.specified_bits() for p in self.patterns) / (width * len(self.patterns))
 
 
+#: Most single-bit draws one ``getrandbits`` call serves in
+#: :func:`random_pattern_rails`, which bounds its temporaries to ~10 MB.
+DRAW_SLICE = 1 << 20
+
+#: Byte -> ``b"1"`` when its top bit is set, else ``b"0"``.
+_TOP_BIT_CHAR = bytes(0x31 if byte & 0x80 else 0x30 for byte in range(256))
+_CHAR_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _single_bit_draws(rng: random.Random, draws: int) -> bytes:
+    """``draws`` successive ``rng.getrandbits(1)`` results, from one call.
+
+    The bits come back as ``b"0"``/``b"1"`` characters.  CPython fills
+    ``getrandbits(32 * k)`` with k successive 32-bit Mersenne words,
+    the first one least significant, and ``getrandbits(1)`` is the top
+    bit of one word.  So bit 31 of word ``i`` is the ``i``-th
+    single-bit draw, and the generator ends in the state the
+    single-bit calls would leave.
+    """
+    if not draws:
+        return b""
+    words = rng.getrandbits(32 * draws).to_bytes(4 * draws, "little")
+    return words[3::4].translate(_TOP_BIT_CHAR)
+
+
 def random_pattern(
     input_ids: Sequence[int], rng: random.Random
 ) -> TestPattern:
-    """A fully specified random pattern."""
-    return TestPattern({net_id: rng.getrandbits(1) for net_id in input_ids})
+    """A fully specified random pattern (one draw per input, in order)."""
+    bits = _single_bit_draws(rng, len(input_ids)).translate(_CHAR_TO_BIT)
+    return TestPattern(dict(zip(input_ids, bits)))
 
 
 def random_pattern_rails(
@@ -122,24 +148,30 @@ def random_pattern_rails(
     :func:`random_pattern` calls, without materializing any per-pattern
     dict.
 
-    RNG consumption contract: one ``rng.getrandbits(1)`` per
-    (pattern, input) pair, patterns outermost, inputs in ``input_ids``
-    order — bit-for-bit the order :func:`random_pattern` consumes, so a
-    shared ``Random`` instance advances identically through either
-    path.  ``tests/test_podem_kernel.py`` enforces both the rail
-    equality and the post-draw RNG state.
+    RNG contract: the bits, and the state ``rng`` is left in, are those
+    of ``count * len(input_ids)`` successive ``rng.getrandbits(1)``
+    calls, patterns outermost and inputs in ``input_ids`` order, so a
+    shared ``Random`` advances identically through this function and
+    :func:`random_pattern`.  The draws are made ``DRAW_SLICE`` at a
+    time, whole patterns per call.  ``tests/test_podem_kernel.py``
+    checks the rails and the final state against the one-call-per-bit
+    loop.
     """
     ones = [0] * net_count
     zeros = [0] * net_count
-    getrandbits = rng.getrandbits
-    # Accumulate into a dense per-input list (a list comprehension
-    # evaluates left to right, preserving the draw order) and scatter to
-    # net ids once at the end — the comprehension is markedly faster
-    # than per-draw indexed |= on the full-width rails.
-    vals = [0] * len(input_ids)
-    for bit in range(count):
-        mask = 1 << bit
-        vals = [v | mask if getrandbits(1) else v for v in vals]
+    width = len(input_ids)
+    vals = [0] * width
+    rows_per_slice = max(1, DRAW_SLICE // max(width, 1))
+    for first in range(0, count, rows_per_slice):
+        rows = min(rows_per_slice, count - first)
+        # Draw r * width + c is pattern first + r on input c.  Reversed,
+        # input c's draws start at width - 1 - c, last pattern first:
+        # the order int(..., 2) reads as a packed word.
+        drawn = _single_bit_draws(rng, rows * width)[::-1]
+        vals = [
+            value | int(drawn[width - 1 - column :: width], 2) << first
+            for column, value in enumerate(vals)
+        ]
     # Random patterns are fully specified, so the zeros rail is just the
     # complement of the ones rail over the batch width.
     full = (1 << count) - 1

@@ -9,8 +9,10 @@ names match the dataclasses.
 from __future__ import annotations
 
 import json
+from itertools import compress, repeat
 from typing import Any, Dict, List, Optional
 
+from ..errors import CacheCorruptionError
 from ..soc.model import Core, Soc
 from .analysis import SocAnalysis, analyze
 from .decomposition import Decomposition, decompose
@@ -144,40 +146,107 @@ def loads_soc(text: str) -> Soc:
 
 # -- ATPG results -------------------------------------------------------------
 #
-# The runtime cache (repro.runtime.cache) persists AtpgResult values on
-# disk through these converters.  Pattern assignments are keyed by
-# compiled net id — deterministic for a given netlist, so they survive
-# the round-trip as long as the cache key covers the netlist content
-# (it does: see repro.runtime.cache.netlist_fingerprint).  The atpg
-# imports are function-local: repro.core is imported by the top-level
-# package and must stay independent of the ATPG stack at module scope.
+# The runtime cache (repro.runtime.cache) and the run journal
+# (repro.runtime.journal) persist AtpgResult values on disk through
+# these converters.  Pattern assignments are keyed by compiled net id —
+# deterministic for a given netlist, so they survive the round-trip as
+# long as the cache key covers the netlist content (it does: see
+# repro.runtime.cache.netlist_fingerprint).  The atpg imports are
+# function-local: repro.core is imported by the top-level package and
+# must stay independent of the ATPG stack at module scope.
+
+#: Format of the ATPG result dicts that cache and journal entries hold.
+#: Schema 2 packs each test pattern into one string (see
+#: :func:`test_set_to_dict`); the stores read an entry of any other
+#: schema as a plain miss, and the recompute overwrites it.
+ATPG_RESULT_SCHEMA = 2
+
+#: A pattern row holds one character per input: ``0``, ``1`` or ``-`` (X).
+_X = 2
+_VALUE_TO_CHAR = bytes.maketrans(b"\x00\x01\x02", b"01-")
+_CHAR_TO_VALUE = bytes.maketrans(b"01-", b"\x00\x01\x02")
+_CHAR_IS_CARE = bytes.maketrans(b"01-", b"\x01\x01\x00")
+
+_COUNT_FIELDS = (
+    "fault_count",
+    "detected_count",
+    "random_pattern_count",
+    "deterministic_pattern_count",
+    "pre_compaction_count",
+)
 
 
-def test_pattern_to_dict(pattern) -> Dict[str, Any]:
-    """One TestPattern as {net id (str): 0/1}; unlisted inputs are X."""
-    return {str(net_id): value for net_id, value in pattern.assignments.items()}
+def _corrupt(message: str) -> CacheCorruptionError:
+    return CacheCorruptionError(f"malformed ATPG result: {message}")
 
 
-def test_pattern_from_dict(data: Dict[str, Any]):
-    from ..atpg.patterns import TestPattern
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    return TestPattern({int(net_id): value for net_id, value in data.items()})
+
+def _field(data: Any, name: str, kind: type) -> Any:
+    """``data[name]``, required to be a ``kind`` (never a bool for int)."""
+    if not isinstance(data, dict):
+        raise _corrupt(f"expected an object holding {name!r}")
+    if name not in data:
+        raise _corrupt(f"missing {name!r}")
+    value = data[name]
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise _corrupt(f"{name!r} is {type(value).__name__}, not {kind.__name__}")
+    return value
 
 
 def test_set_to_dict(test_set) -> Dict[str, Any]:
+    """One TestSet as its input ids plus one ``0``/``1``/``-`` row per pattern.
+
+    ``inputs`` lists every net id any pattern assigns, numerically
+    sorted; character ``i`` of a row is the pattern's value on
+    ``inputs[i]``, ``-`` where it leaves that input X.
+    """
+    assignments = [pattern.assignments for pattern in test_set.patterns]
+    ids = sorted(set().union(*assignments))
     return {
         "circuit": test_set.circuit_name,
-        "patterns": [test_pattern_to_dict(p) for p in test_set.patterns],
+        "inputs": ids,
+        "patterns": [
+            bytes(map(values.get, ids, repeat(_X)))
+            .translate(_VALUE_TO_CHAR)
+            .decode("ascii")
+            for values in assignments
+        ],
     }
 
 
 def test_set_from_dict(data: Dict[str, Any]):
-    from ..atpg.patterns import TestSet
+    """Inverse of :func:`test_set_to_dict`; raises on any malformed field.
 
-    return TestSet(
-        circuit_name=data["circuit"],
-        patterns=[test_pattern_from_dict(p) for p in data["patterns"]],
-    )
+    Every field is checked before it is used — input ids strictly
+    increasing non-negative ints, rows strings of exactly one ``0``,
+    ``1`` or ``-`` per input — and a violation raises
+    :class:`~repro.errors.CacheCorruptionError`.
+    """
+    from ..atpg.patterns import TestPattern, TestSet
+
+    circuit = _field(data, "circuit", str)
+    ids = _field(data, "inputs", list)
+    rows = _field(data, "patterns", list)
+    previous = -1
+    for net_id in ids:
+        if not _is_int(net_id) or net_id <= previous:
+            raise _corrupt("input ids must be strictly increasing ints >= 0")
+        previous = net_id
+    patterns = []
+    for row in rows:
+        if not isinstance(row, str) or len(row) != len(ids) or not row.isascii():
+            raise _corrupt(f"pattern rows must be {len(ids)}-character strings")
+        raw = row.encode("ascii")
+        if raw.translate(None, b"01-"):
+            raise _corrupt("pattern rows may only hold 0, 1 and -")
+        pairs = zip(ids, raw.translate(_CHAR_TO_VALUE))
+        if b"-" in raw:
+            pairs = compress(pairs, raw.translate(_CHAR_IS_CARE))
+        patterns.append(TestPattern(dict(pairs)))
+    return TestSet(circuit_name=circuit, patterns=patterns)
 
 
 def fault_to_dict(fault) -> Dict[str, Any]:
@@ -189,20 +258,26 @@ def fault_to_dict(fault) -> Dict[str, Any]:
 
 
 def fault_from_dict(data: Dict[str, Any]):
+    """Inverse of :func:`fault_to_dict`; raises on any malformed field."""
     from ..atpg.faults import Fault
 
-    return Fault(
-        net=data["net"],
-        stuck_at=data["stuck_at"],
-        gate_index=data.get("gate_index"),
-        pin=data.get("pin"),
-    )
+    net = _field(data, "net", int)
+    stuck_at = _field(data, "stuck_at", int)
+    if net < 0 or stuck_at not in (0, 1):
+        raise _corrupt(f"bad fault site net={net} stuck_at={stuck_at}")
+    gate_index = pin = None
+    if "gate_index" in data or "pin" in data:
+        gate_index = _field(data, "gate_index", int)
+        pin = _field(data, "pin", int)
+        if gate_index < 0 or pin < 0:
+            raise _corrupt(f"bad branch gate_index={gate_index} pin={pin}")
+    return Fault(net=net, stuck_at=stuck_at, gate_index=gate_index, pin=pin)
 
 
 def atpg_result_to_dict(result) -> Dict[str, Any]:
     """One AtpgResult as a JSON-ready dict (schema-versioned)."""
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": ATPG_RESULT_SCHEMA,
         "circuit": result.circuit_name,
         "test_set": test_set_to_dict(result.test_set),
         "fault_count": result.fault_count,
@@ -216,16 +291,23 @@ def atpg_result_to_dict(result) -> Dict[str, Any]:
 
 
 def atpg_result_from_dict(data: Dict[str, Any]):
+    """Inverse of :func:`atpg_result_to_dict`.
+
+    Checks every field it reads and raises
+    :class:`~repro.errors.CacheCorruptionError` on the first malformed
+    one, so a damaged store entry is quarantined instead of crashing
+    the lookup or being served as a hit.
+    """
     from ..atpg.engine import AtpgResult
 
+    counts = {name: _field(data, name, int) for name in _COUNT_FIELDS}
+    for name, value in counts.items():
+        if value < 0:
+            raise _corrupt(f"{name!r} is negative ({value})")
     return AtpgResult(
-        circuit_name=data["circuit"],
-        test_set=test_set_from_dict(data["test_set"]),
-        fault_count=data["fault_count"],
-        detected_count=data["detected_count"],
-        untestable=[fault_from_dict(f) for f in data["untestable"]],
-        aborted=[fault_from_dict(f) for f in data["aborted"]],
-        random_pattern_count=data["random_pattern_count"],
-        deterministic_pattern_count=data["deterministic_pattern_count"],
-        pre_compaction_count=data["pre_compaction_count"],
+        circuit_name=_field(data, "circuit", str),
+        test_set=test_set_from_dict(_field(data, "test_set", dict)),
+        untestable=[fault_from_dict(f) for f in _field(data, "untestable", list)],
+        aborted=[fault_from_dict(f) for f in _field(data, "aborted", list)],
+        **counts,
     )

@@ -16,7 +16,10 @@ defaults to ``~/.cache/repro/atpg`` and can be overridden with the
 truncated files — including files whose recorded key disagrees with
 their filename — are treated as misses: the offending file is moved
 aside into a ``quarantine/`` subdirectory (for post-mortems) and the
-result is recomputed, so one bad byte never aborts a campaign.
+result is recomputed, so one bad byte never aborts a campaign.  An
+entry written in an older format (another ``schema`` number) is not
+corrupt, just stale: it reads as a plain miss and the recompute
+overwrites it.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional, Union
 from ..atpg.engine import AtpgResult
 from ..circuit.netlist import Netlist
 from ..core.serialization import (
-    SCHEMA_VERSION,
+    ATPG_RESULT_SCHEMA,
     atpg_result_from_dict,
     atpg_result_to_dict,
 )
@@ -89,23 +92,17 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     Covers name, inputs, outputs, flip-flops and gates in declaration
     order — everything that determines the ATPG outcome (pattern
     assignments are keyed by compiled net id, which is itself a
-    function of this structure).
+    function of this structure).  Each part is hashed followed by one
+    NUL byte.
     """
-    hasher = hashlib.sha256()
-
-    def feed(*parts: str) -> None:
-        for part in parts:
-            hasher.update(part.encode("utf-8"))
-            hasher.update(b"\x00")
-
-    feed("netlist", netlist.name)
-    feed("inputs", *netlist.inputs)
-    feed("outputs", *netlist.outputs)
+    parts = ["netlist", netlist.name, "inputs", *netlist.inputs]
+    parts += ["outputs", *netlist.outputs]
     for ff in netlist.flip_flops:
-        feed("ff", ff.output, ff.data)
+        parts += ("ff", ff.output, ff.data)
     for gate in netlist.gates:
-        feed("gate", gate.gate_type.value, gate.output, *gate.inputs)
-    return hasher.hexdigest()
+        parts += ("gate", gate.gate_type.value, gate.output, *gate.inputs)
+    parts.append("")  # the NUL after the last part
+    return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()
 
 
 def result_key(netlist: Netlist, config: AtpgConfig) -> str:
@@ -182,7 +179,7 @@ class AtpgResultCache:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             payload = {
-                "schema": SCHEMA_VERSION,
+                "schema": ATPG_RESULT_SCHEMA,
                 "key": key,
                 "config": config.to_dict(),
                 "result": atpg_result_to_dict(result),
@@ -226,15 +223,7 @@ class AtpgResultCache:
             return None
         path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
-            if payload.get("key") != key:
-                raise CacheCorruptionError(
-                    f"cache entry {path.name} claims key "
-                    f"{payload.get('key')!r}, expected {key!r}"
-                )
-            return atpg_result_from_dict(payload["result"])
-        except FileNotFoundError:
-            return None
+            return read_entry(path, key)
         except (ValueError, KeyError, TypeError, OSError):
             # Corrupt/truncated/mis-keyed entry: quarantine it and report
             # a miss so the result is recomputed — never abort the run.
@@ -243,3 +232,30 @@ class AtpgResultCache:
             get_tracer().count(CACHE_QUARANTINED)
             quarantine_file(path)
             return None
+
+
+def read_entry(path: Path, key: str) -> Optional[AtpgResult]:
+    """The result a cache or journal file holds under ``key``.
+
+    None when the file is missing or was written in another schema (a
+    plain miss, which the recompute overwrites).  A file that cannot be
+    trusted — not JSON, not an object, filed under the wrong key, or
+    holding a malformed result — raises ``ValueError`` (mostly
+    :class:`~repro.errors.CacheCorruptionError`) for the caller to
+    quarantine.
+    """
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        return None
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise CacheCorruptionError(f"store entry {path.name} is not a JSON object")
+    if payload.get("schema") != ATPG_RESULT_SCHEMA:
+        return None
+    if payload.get("key") != key:
+        raise CacheCorruptionError(
+            f"store entry {path.name} claims key "
+            f"{payload.get('key')!r}, expected {key!r}"
+        )
+    return atpg_result_from_dict(payload.get("result"))

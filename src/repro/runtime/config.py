@@ -28,6 +28,17 @@ from ..errors import ConfigError
 # this module sits below repro.atpg by design).
 _BACKEND_CHOICES = ("auto", "pure", "numpy")
 
+#: Fields that must be real ints: a bool would run the same ATPG under
+#: a different fingerprint, and a str or float would fail deep inside
+#: the engine.
+_INT_FIELDS = (
+    "seed",
+    "backtrack_limit",
+    "random_batches",
+    "dynamic_compaction",
+    "stream",
+)
+
 
 @dataclass(frozen=True)
 class AtpgConfig:
@@ -56,6 +67,17 @@ class AtpgConfig:
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(
+                    f"{name} must be an int, got {type(value).__name__} {value!r}"
+                )
+        if not isinstance(self.compact, bool):
+            raise ConfigError(
+                f"compact must be a bool, got {type(self.compact).__name__} "
+                f"{self.compact!r}"
+            )
         if self.backend is not None and self.backend not in _BACKEND_CHOICES:
             raise ConfigError(
                 f"unknown kernel backend {self.backend!r}: "

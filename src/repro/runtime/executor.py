@@ -324,7 +324,12 @@ def run_jobs(
     attempts: List[int] = [0] * len(jobs)
     errors: List[Optional[JobFailure]] = [None] * len(jobs)
     configs: List[AtpgConfig] = [job.config for job in jobs]
-    keys: List[str] = [result_key(job.netlist, job.config) for job in jobs]
+    # Content keys name journal entries; the cache derives its own.
+    keys: List[str] = (
+        [result_key(job.netlist, job.config) for job in jobs]
+        if journal is not None
+        else []
+    )
 
     pending: List[int] = []
     for index, job in enumerate(jobs):

@@ -17,8 +17,9 @@ byte-identical to that of a run that never died.  It is rewritten after
 every :func:`~repro.runtime.executor.run_jobs` batch, so it is also a
 live progress file.
 
-Corrupt journal entries are quarantined and recomputed, exactly like
-cache entries (:mod:`repro.runtime.cache`).
+Corrupt journal entries are quarantined and recomputed, and entries of
+an older schema are plain misses, exactly like cache entries
+(:mod:`repro.runtime.cache`).
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..atpg.engine import AtpgResult
 from ..core.serialization import (
+    ATPG_RESULT_SCHEMA,
     SCHEMA_VERSION,
-    atpg_result_from_dict,
     atpg_result_to_dict,
 )
-from ..errors import CacheCorruptionError, ConfigError
+from ..errors import ConfigError
 from ..observability import get_tracer, register_counter
-from .cache import quarantine_file
+from .cache import quarantine_file, read_entry
 from .config import AtpgConfig
 
 JOURNAL_RESUMED = register_counter(
@@ -86,24 +87,19 @@ class RunJournal:
 
         Only consulted on resume; a fresh run never reads its own
         journal.  Corrupt entries are quarantined and reported as
-        misses so the job simply re-executes.
+        misses so the job simply re-executes; entries of another schema
+        are plain misses, overwritten when the job is journaled again.
         """
         if not self.resume:
             return None
         path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
-            if payload.get("key") != key:
-                raise CacheCorruptionError(
-                    f"journal entry {path.name} claims key "
-                    f"{payload.get('key')!r}, expected {key!r}"
-                )
-            result = atpg_result_from_dict(payload["result"])
-        except FileNotFoundError:
-            return None
+            result = read_entry(path, key)
         except (ValueError, KeyError, TypeError, OSError):
             quarantine_file(path)
             get_tracer().count(JOURNAL_QUARANTINED)
+            return None
+        if result is None:
             return None
         self.resumed_jobs += 1
         get_tracer().count(JOURNAL_RESUMED)
@@ -120,7 +116,7 @@ class RunJournal:
         rename wins with a complete file either way.
         """
         payload = {
-            "schema": SCHEMA_VERSION,
+            "schema": ATPG_RESULT_SCHEMA,
             "key": key,
             "job": name,
             "config": config.to_dict(),

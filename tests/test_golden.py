@@ -7,6 +7,9 @@ The experiments whose numbers come out of ATPG runs are also replayed
 on the pure-Python kernel (``REPRO_NO_NUMPY=1``), which must print the
 same bytes as the default backend.  The ``tam`` run also writes its
 ``--tam-front`` Pareto-front JSON, pinned by ``tam-front.json``.
+The ATPG-backed experiments are also run against a fresh result cache
+and rerun warm, on both kernels: what the cache serves must print the
+same bytes.
 
 A golden file changes only when an output change is intended.
 Regenerate it with::
@@ -18,6 +21,7 @@ Regenerate it with::
 """
 
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -47,13 +51,21 @@ CASES = [(name, "default") for name in GOLDEN] + [
 ]
 
 
+#: The runtime manifest line each ATPG-backed run prints on stderr.
+MANIFEST = re.compile(r"\[runtime\] (\d+) ATPG jobs: (\d+) executed")
+
+
+def clean_environment(monkeypatch):
+    for variable in list(os.environ):
+        if variable.startswith("REPRO_"):
+            monkeypatch.delenv(variable)
+
+
 @pytest.mark.parametrize("name,kernel", CASES)
 def test_experiment_stdout_matches_golden(
     name, kernel, monkeypatch, capsys, tmp_path
 ):
-    for variable in list(os.environ):
-        if variable.startswith("REPRO_"):
-            monkeypatch.delenv(variable)
+    clean_environment(monkeypatch)
     if kernel == "pure":
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
 
@@ -66,3 +78,28 @@ def test_experiment_stdout_matches_golden(
     assert out.encode() == (GOLDEN_DIR / f"{name}.txt").read_bytes()
     if name == "tam":
         assert front.read_bytes() == (GOLDEN_DIR / "tam-front.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ATPG_BACKED)
+def test_warm_cache_replays_golden_stdout(name, monkeypatch, capsys, tmp_path):
+    """Results served from the cache print the golden bytes too.
+
+    One cold run fills a fresh cache directory; a warm rerun and a warm
+    rerun on the pure kernel must print the same stdout and execute no
+    ATPG job at all.
+    """
+    clean_environment(monkeypatch)
+    golden = (GOLDEN_DIR / f"{name}.txt").read_bytes()
+    argv = ["experiments", name, "--cache-dir", str(tmp_path / "cache")]
+    executed = []
+    for run in ("cold", "warm", "warm-pure"):
+        if run == "warm-pure":
+            monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == golden, run
+        manifests = MANIFEST.findall(captured.err)
+        assert manifests, run
+        executed.append(sum(int(ran) for _, ran in manifests))
+    assert executed[0] > 0
+    assert executed[1:] == [0, 0]

@@ -6,8 +6,12 @@ implementation on randomized circuits:
 * :class:`ImplicationKernel` (incremental PODEM implication) against
   :meth:`Podem._imply` full sweeps, over random assign/undo walks and
   over complete searches;
-* :func:`random_pattern_rails` (direct packed generation) against the
-  per-pattern dict path, including the shared-RNG state contract;
+* :func:`random_pattern_rails` (direct packed generation, one
+  ``getrandbits`` call per slice of patterns) against the
+  one-call-per-bit loop it replaced and the per-pattern dict path,
+  including the shared-RNG state contract;
+* :class:`_PatternBlock` (sparse merge of PODEM patterns) against one
+  packed simulation of the same patterns;
 * :meth:`FaultSimulator.detect_masks` (batched, with the fanout-free
   region fast path for fully specified batches) against single-fault
   :meth:`detect_mask`;
@@ -18,6 +22,8 @@ implementation on randomized circuits:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atpg import (
     CompiledCircuit,
@@ -31,9 +37,12 @@ from repro.atpg import (
     full_fault_universe,
     generate_tests,
 )
+from repro.atpg import patterns as patterns_module
+from repro.atpg.engine import _PatternBlock
 from repro.atpg.faultsim import SIM_STATS, reset_sim_stats
-from repro.atpg.logicsim import pack_patterns_flat
+from repro.atpg.logicsim import pack_patterns_flat, simulate_flat
 from repro.atpg.patterns import (
+    TestPattern,
     pattern_from_rails,
     random_pattern,
     random_pattern_rails,
@@ -132,14 +141,43 @@ class TestImplicationKernel:
                 assert got.pattern.assignments == want.pattern.assignments, context
 
 
+def reference_rails(input_ids, rng, count, net_count):
+    """The one-``getrandbits(1)``-per-bit loop the packed draw replaced."""
+    ones = [0] * net_count
+    zeros = [0] * net_count
+    vals = [0] * len(input_ids)
+    for bit in range(count):
+        mask = 1 << bit
+        vals = [v | mask if rng.getrandbits(1) else v for v in vals]
+    full = (1 << count) - 1
+    for net_id, value in zip(input_ids, vals):
+        ones[net_id] = value
+        zeros[net_id] = value ^ full
+    return ones, zeros
+
+
+def assert_rails_match_reference(input_ids, net_count, count, seed):
+    rng_rails = random.Random(seed)
+    rng_reference = random.Random(seed)
+    got = random_pattern_rails(input_ids, rng_rails, count, net_count)
+    assert got == reference_rails(input_ids, rng_reference, count, net_count)
+    # Both must leave the shared RNG in the same state, or mixing them
+    # inside one run would shift every later draw.
+    assert rng_rails.getstate() == rng_reference.getstate()
+
+
 class TestPackedRandomPatterns:
+    # 512 is the numpy backend's 8-lane draw.
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("count", [1, 17, 64])
+    @pytest.mark.parametrize("count", [0, 1, 17, 64, 512])
     def test_rails_match_dict_path_and_rng_state(self, seed, count):
         circuit = make_circuit(seed, gates=80)
+        assert_rails_match_reference(
+            circuit.input_ids, circuit.net_count, count, 500 + seed
+        )
+        # The per-pattern dict path draws the same bits in the same order.
         rng_rails = random.Random(500 + seed)
         rng_dicts = random.Random(500 + seed)
-
         ones, zeros = random_pattern_rails(
             circuit.input_ids, rng_rails, count, circuit.net_count
         )
@@ -151,9 +189,29 @@ class TestPackedRandomPatterns:
         )
         assert ones == want_ones
         assert zeros == want_zeros
-        # Both paths must consume the shared RNG identically, or mixing
-        # them inside one run would shift every later draw.
         assert rng_rails.getstate() == rng_dicts.getstate()
+
+    @pytest.mark.parametrize("count", [0, 1, 64])
+    def test_zero_input_circuit_draws_nothing(self, count):
+        rng = random.Random(3)
+        before = rng.getstate()
+        assert random_pattern_rails([], rng, count, 6) == ([0] * 6, [0] * 6)
+        assert rng.getstate() == before
+
+    def test_draws_above_the_slice_cap(self):
+        # 2048 inputs x 600 patterns = 1,228,800 draws: two slices.
+        width = 2048
+        assert 600 * width > patterns_module.DRAW_SLICE
+        input_ids = list(range(1, 2 * width, 2))
+        assert_rails_match_reference(input_ids, 2 * width + 1, 600, 77)
+
+    @pytest.mark.parametrize("cap", [1, 9, 10, 64])
+    def test_slices_split_mid_batch(self, monkeypatch, cap):
+        circuit = make_circuit(5, gates=60)
+        monkeypatch.setattr(patterns_module, "DRAW_SLICE", cap)
+        assert_rails_match_reference(
+            circuit.input_ids, circuit.net_count, 23, 11
+        )
 
     def test_pattern_from_rails_round_trip(self):
         circuit = make_circuit(7, gates=60)
@@ -167,6 +225,30 @@ class TestPackedRandomPatterns:
             want = random_pattern(circuit.input_ids, rng_replay)
             got = pattern_from_rails(circuit.input_ids, ones, bit)
             assert got.assignments == want.assignments
+
+
+class TestPatternBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_block_equals_packed_simulation(self, data):
+        """k adds hold exactly the rails of the k patterns simulated
+        together."""
+        circuit = make_circuit(data.draw(st.integers(0, 3)), gates=90)
+        block = _PatternBlock(FaultSimulator(circuit))
+        inputs = circuit.input_ids
+        k = data.draw(st.integers(1, min(block.capacity, 70)))
+        patterns = data.draw(st.lists(
+            st.dictionaries(st.sampled_from(inputs), st.integers(0, 1)),
+            min_size=k,
+            max_size=k,
+        ))
+        for assignments in patterns:
+            block.add(TestPattern(assignments))
+        ones, zeros = simulate_flat(
+            circuit, *pack_patterns_flat(circuit, patterns), k
+        )
+        assert block.count == k
+        assert (block.ones, block.zeros) == (ones, zeros)
 
 
 class TestDetectMasksBatch:

@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atpg import generate_tests
+from repro.errors import ConfigError, ReproError
 from repro.runtime import (
     AtpgConfig,
     AtpgJob,
@@ -81,6 +84,45 @@ class TestAtpgConfig:
             AtpgConfig(random_batches=-1)
         with pytest.raises(ValueError):
             AtpgConfig(dynamic_compaction=-1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"backtrack_limit": "5"},
+        {"random_batches": None},
+        {"seed": "a"},
+        {"seed": 1.5},
+        {"seed": True},  # would run seed=1 under another fingerprint
+        {"dynamic_compaction": 2.5},
+        {"compact": "no"},
+        {"compact": 1},
+        {"stream": True},
+    ])
+    def test_mistyped_fields_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError):
+            AtpgConfig(**kwargs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={
+        name: st.one_of(
+            st.integers(-3, 2**70),
+            st.booleans(),
+            st.none(),
+            st.floats(),
+            st.text(max_size=4),
+            st.lists(st.integers(), max_size=2),
+            st.sampled_from(["auto", "pure", "numpy"]),
+        )
+        for name in (
+            "seed", "backtrack_limit", "random_batches", "compact",
+            "dynamic_compaction", "stream", "backend",
+        )
+    }))
+    def test_construction_raises_only_typed_errors(self, kwargs):
+        try:
+            config = AtpgConfig(**kwargs)
+        except ReproError:
+            return
+        assert AtpgConfig.from_dict(config.to_dict()) == config
+        assert len(config.fingerprint()) == 64
 
 
 class TestFingerprints:

@@ -3,7 +3,11 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.atpg.patterns import TestPattern, TestSet
+from repro.core import serialization
 from repro.core import (
     analysis_report,
     decompose,
@@ -100,3 +104,36 @@ class TestReports:
         assert main(["tdv", str(path), "--json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["summary"]["tdv_monolithic"] == 2_987_712
+
+
+# -- ATPG test sets --------------------------------------------------------------
+
+#: A pattern over sparse net ids: any subset assigned, the rest X.
+_patterns = st.dictionaries(
+    st.integers(0, 5000), st.integers(0, 1), max_size=24
+).map(TestPattern)
+
+
+class TestTestSetCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_patterns, max_size=12))
+    @example([])  # the empty set
+    @example([TestPattern({})])  # one all-X pattern
+    @example([TestPattern({3: 1, 900: 0}), TestPattern({})])
+    @example([TestPattern({n: n % 2 for n in range(40)})] * 3)  # full rows
+    def test_json_round_trip(self, patterns):
+        test_set = TestSet("core", patterns)
+        encoded = json.loads(json.dumps(serialization.test_set_to_dict(test_set)))
+        assert serialization.test_set_from_dict(encoded) == test_set
+
+    def test_rows_are_one_char_per_sorted_input(self):
+        test_set = TestSet("core", [
+            TestPattern({12: 1, 3: 0}),
+            TestPattern({7: 1}),
+            TestPattern({}),
+        ])
+        assert serialization.test_set_to_dict(test_set) == {
+            "circuit": "core",
+            "inputs": [3, 7, 12],
+            "patterns": ["0-1", "-1-", "---"],
+        }
