@@ -116,7 +116,9 @@ def compress_streams(name: str, streams: Sequence[Sequence[Trit]]) -> Compressio
 
 def pattern_streams(circuit, test_set) -> List[List[Trit]]:
     """One stimulus stream per pattern, over the circuit's input order."""
+    input_ids = circuit.input_ids
+    # map() binds each pattern's assignments once, not once per net.
     return [
-        [pattern.assignments.get(net_id) for net_id in circuit.input_ids]
+        list(map(pattern.assignments.get, input_ids))
         for pattern in test_set.patterns
     ]

@@ -29,13 +29,8 @@ from .faultsim import (
     publish_kernel_stats,
     sim_stats,
 )
-from .logicsim import (
-    RailBatch,
-    pack_full_patterns_flat,
-    pack_patterns_flat,
-    simulate_flat_sparse,
-)
-from .patterns import TestPattern, TestSet
+from .logicsim import RailBatch, pack_patterns_flat, simulate_flat_sparse
+from .patterns import TestPattern, TestSet, pack_rows
 from .podem import Podem, PodemOutcome
 from .random_phase import run_random_phase
 from .streams import fill_test_set
@@ -636,12 +631,9 @@ def _verify_and_prune(
         for start in range(0, len(patterns), batch_size):
             abort.check()
             chunk = reversed_index[start:start + batch_size]
-            # Patterns are fully specified here, so their assignment
-            # dicts are already the per-input trit maps the packer wants
-            # and the complement-based full packer applies.
-            trits = [patterns[i].assignments for i in chunk]
-            ones, zeros = pack_full_patterns_flat(circuit, trits)
-            good, count = simulator.good_values_rails(ones, zeros, len(trits))
+            # Filled patterns are rows over the circuit's inputs.
+            ones, zeros = pack_rows(circuit, [patterns[i].row for i in chunk])
+            good, count = simulator.good_values_rails(ones, zeros, len(chunk))
             survivors = []
             masks = pool.detect_masks(good, count, remaining)
             for fault, mask in zip(remaining, masks):
@@ -737,7 +729,8 @@ def generate_n_detect_tests(
             charge_width = 64 * circuit.block_lanes
             for start in range(0, len(new_patterns), charge_width):
                 batch = new_patterns[start:start + charge_width]
-                good, count = simulator.good_values([p.assignments for p in batch])
+                ones, zeros = pack_rows(circuit, [p.row for p in batch])
+                good, count = simulator.good_values_rails(ones, zeros, len(batch))
                 targets = list(remaining_quota)
                 masks = pool.detect_masks(good, count, targets)
                 for fault, mask in zip(targets, masks):

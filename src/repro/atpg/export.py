@@ -135,8 +135,10 @@ def expand_vectors(
         simulate_flat(circuit, ones, zeros, len(block))
         values = RailBatch(ones, zeros, len(block))
         for offset, pattern in enumerate(block):
+            assignments = pattern.assignments
+
             def stim(net: str) -> str:
-                value = pattern.assignments.get(circuit.net_ids[net])
+                value = assignments.get(circuit.net_ids[net])
                 return "X" if value is None else str(value)
 
             def resp(net: str) -> str:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import os
 
-from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -48,7 +47,6 @@ SIM_STATS = {
     "detect_calls": 0,
     "fault_pattern_evals": 0,
     "gate_evals": 0,
-    "good_cache_hits": 0,
     "blocks_evaluated": 0,
     "shard_bytes_shared": 0,
     "shard_bytes_pickled": 0,
@@ -80,10 +78,6 @@ KERNEL_METRICS = {
     "gate_evals": register_counter(
         "faultsim.gate_evals", "gate re-evaluations in the event kernel"
     ),
-    "good_cache_hits": register_counter(
-        "faultsim.good_cache_hits",
-        "good-machine batch simulations served from the per-circuit cache",
-    ),
     "blocks_evaluated": register_counter(
         "kernel.blocks_evaluated",
         "packed pattern blocks simulated through the good machine",
@@ -97,13 +91,6 @@ KERNEL_METRICS = {
         "pattern-block bytes moved to shard workers via pickle",
     ),
 }
-
-# Per-circuit good-machine memo size.  Batches are keyed by their input
-# rails, so a hit is exact; 32 entries comfortably covers the batch
-# windows the engine replays (n-detect quota passes, coverage checks)
-# without holding more than a few hundred KiB of rails per circuit.
-GOOD_CACHE_CAPACITY = 32
-
 
 def publish_kernel_stats(tracer, baseline: Dict[str, int]) -> None:
     """Count the SIM_STATS growth since ``baseline`` into ``tracer``."""
@@ -166,35 +153,14 @@ class FaultSimulator:
         """Good-machine simulation from already-packed input rails.
 
         This is the fast path for callers that draw their batches
-        directly in packed form (the random phase) — no per-pattern
-        dicts, no repack.  Results are memoized on the circuit, keyed by
-        the exact input-net rails, so replaying a batch (n-detect quota
-        charging, coverage re-checks) skips the gate sweep entirely; a
-        hit is counted in ``SIM_STATS["good_cache_hits"]``.  Cached
-        batches are shared and must be treated as read-only — every
-        consumer in the tree writes fault effects to its own scratch
-        rails, never to the good batch.
+        directly in packed form (the random phase) or pack rows (verify)
+        — no per-pattern dicts, no repack.  The gate sweep runs in place
+        on ``ones`` and ``zeros``, which become the returned batch.
         """
         get_abort().check()
-        circuit = self.circuit
-        cache = circuit.good_value_cache
-        key = (
-            count,
-            tuple(ones[i] for i in circuit.input_ids),
-            tuple(zeros[i] for i in circuit.input_ids),
-        )
-        batch = cache.get(key)
-        if batch is not None:
-            cache.move_to_end(key)
-            SIM_STATS["good_cache_hits"] += 1
-            return batch, count
-        simulate_flat(circuit, ones, zeros, count)
+        simulate_flat(self.circuit, ones, zeros, count)
         SIM_STATS["blocks_evaluated"] += 1
-        batch = RailBatch(ones, zeros, count)
-        cache[key] = batch
-        if len(cache) > GOOD_CACHE_CAPACITY:
-            cache.popitem(last=False)
-        return batch, count
+        return RailBatch(ones, zeros, count), count
 
     def detect_mask(
         self,
@@ -1058,8 +1024,7 @@ def _shard_detect(
     """Worker entry point: detect masks for one shard of fault indices.
 
     The good machine is re-simulated per worker from the input rails —
-    cheaper than pickling full net rails across, and served from the
-    worker's own per-circuit memo when the batch repeats.
+    cheaper than pickling full net rails across.
     """
     simulator = _SHARD_SIMULATOR
     good, n = _shard_rails(in_ones, in_zeros, count)

@@ -22,10 +22,10 @@ maximizes neither.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .compiled import CompiledCircuit
-from .patterns import TestPattern, TestSet
+from .patterns import TestPattern, TestSet, row_pattern
 
 FILL_STRATEGIES = ("random", "zero", "one", "adjacent")
 
@@ -36,31 +36,29 @@ def fill_pattern(
     strategy: str = "random",
     rng: Optional[random.Random] = None,
 ) -> TestPattern:
-    """Fill one pattern's X bits over ``input_ids`` (scan order)."""
+    """Fill one pattern's X bits over ``input_ids`` (scan order).
+
+    The result is a row over ``input_ids``; a row comes back as itself.
+    """
     if strategy not in FILL_STRATEGIES:
         raise ValueError(
             f"unknown fill strategy {strategy!r}; choose from {FILL_STRATEGIES}"
         )
-    assignments: Dict[int, int] = dict(pattern.assignments)
+    if pattern.is_row_over(input_ids):
+        return pattern
     if strategy == "random":
-        rng = rng or random.Random(0)
-        for net_id in input_ids:
-            if net_id not in assignments:
-                assignments[net_id] = rng.getrandbits(1)
-    elif strategy in ("zero", "one"):
+        return pattern.filled(input_ids, rng or random.Random(0))
+    values = pattern.assignments
+    if strategy in ("zero", "one"):
         value = 0 if strategy == "zero" else 1
-        for net_id in input_ids:
-            if net_id not in assignments:
-                assignments[net_id] = value
+        bits = [values.get(net_id, value) for net_id in input_ids]
     else:  # adjacent
+        bits = []
         previous = 0
         for net_id in input_ids:
-            specified = assignments.get(net_id)
-            if specified is None:
-                assignments[net_id] = previous
-            else:
-                previous = specified
-    return TestPattern(assignments)
+            previous = values.get(net_id, previous)
+            bits.append(previous)
+    return row_pattern(input_ids, bits)
 
 
 def fill_test_set(
@@ -91,9 +89,10 @@ def shift_transitions(
     """
     total = 0
     for pattern in test_set.patterns:
+        values = pattern.assignments
         previous: Optional[int] = None
         for net_id in input_ids:
-            value = pattern.assignments.get(net_id)
+            value = values.get(net_id)
             if value is None:
                 continue
             if previous is not None and value != previous:

@@ -86,31 +86,6 @@ def pack_patterns_flat(
     return ones, zeros
 
 
-def pack_full_patterns_flat(
-    circuit: CompiledCircuit,
-    patterns: Sequence[Dict[int, int]],
-) -> Tuple[List[int], List[int]]:
-    """:func:`pack_patterns_flat` for *fully specified* patterns.
-
-    Precondition: every pattern assigns 0/1 (never ``None``) to every
-    input net.  The zeros rail is then just the complement of the ones
-    rail over the batch width, so only the set bits need scattering —
-    about half the per-bit work of the general packer on the final
-    verify sweep's full-width batches.
-    """
-    ones = [0] * circuit.net_count
-    zeros = [0] * circuit.net_count
-    for bit, pattern in enumerate(patterns):
-        mask = 1 << bit
-        for net_id, value in pattern.items():
-            if value:
-                ones[net_id] |= mask
-    full = (1 << len(patterns)) - 1
-    for net_id in circuit.input_ids:
-        zeros[net_id] = ones[net_id] ^ full
-    return ones, zeros
-
-
 def pack_patterns(
     circuit: CompiledCircuit,
     patterns: Sequence[Dict[int, Optional[int]]],

@@ -18,7 +18,7 @@ from ..runtime.abort import get_abort
 from .compiled import CompiledCircuit
 from .faults import Fault
 from .faultsim import FaultShardPool, FaultSimulator
-from .patterns import TestPattern, pattern_from_rails, random_pattern_rails
+from .patterns import TestPattern, random_pattern_rails, rows_from_rails
 from .streams import stream_rails
 
 RANDOM_BATCHES = register_counter(
@@ -110,10 +110,10 @@ def _run_batches(
         # RNG stream as chunk_count * batch_size random_pattern() calls
         # (the contract random_pattern_rails documents), with no
         # per-pattern dicts and no pack_patterns_flat repack.  Only the
-        # handful of kept first detectors are materialized back into
-        # TestPattern form below.  When a chunk's yield stops the phase
-        # early, the already-drawn later chunks are simply discarded;
-        # the rng is local, so the over-draw leaks nowhere.
+        # kept first detectors are cut back out of the rails, as rows,
+        # by one transposition per block.  When a chunk's yield stops
+        # the phase early, the already-drawn later chunks are simply
+        # discarded; the rng is local, so the over-draw leaks nowhere.
         chunk_count = min(lanes, max_batches - result.batches)
         count = batch_size * chunk_count
         if stream == 2:
@@ -136,6 +136,7 @@ def _run_batches(
         else:
             masks = simulator.detect_masks(good, count, result.remaining_faults)
         pairs = list(zip(result.remaining_faults, masks))
+        kept: List[int] = []
         stop = False
         for chunk in range(chunk_count):
             base = chunk * batch_size
@@ -152,16 +153,15 @@ def _run_batches(
             result.batches += 1
             result.detected += detected_here
             pairs = survivors
-            result.patterns.extend(
-                pattern_from_rails(input_ids, good.ones, base + bit)
-                for bit, keep in enumerate(first_detector)
-                if keep
+            kept.extend(
+                base + bit for bit, keep in enumerate(first_detector) if keep
             )
             if detected_here < min_yield:
                 stop = True
                 break
             if not pairs:
                 break
+        result.patterns.extend(rows_from_rails(input_ids, good.ones, count, kept))
         result.remaining_faults = [fault for fault, _ in pairs]
         if stop:
             break

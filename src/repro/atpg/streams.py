@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .compiled import CompiledCircuit
-from .patterns import TestPattern, TestSet
+from .patterns import TestPattern, TestSet, row_pattern
 
 _M64 = (1 << 64) - 1
 
@@ -194,26 +194,29 @@ def fill_pattern(
 ) -> TestPattern:
     """Stream-2 X-fill of one pattern: fill bits keyed by its index.
 
-    The counter analogue of :meth:`TestPattern.filled` — fully
-    specified patterns pass through untouched (same shortcut, same
-    assignment order for the filled ones), but the fill value of input
-    position ``pos`` is ``stream_word(seed, pattern_index, pos // 64,
-    DOMAIN_FILL)`` bit ``pos % 64`` instead of the next sequential
-    Mersenne draw, so filling is order- and subset-independent.
+    The counter analogue of :meth:`TestPattern.filled` — the result is a
+    row over ``input_ids`` and a row comes back as itself, but the fill
+    value of input position ``pos`` is ``stream_word(seed,
+    pattern_index, pos // 64, DOMAIN_FILL)`` bit ``pos % 64`` instead of
+    the next sequential Mersenne draw, so filling is order- and
+    subset-independent.
     """
-    assignments = dict(pattern.assignments)
-    if len(assignments) == len(input_ids):
-        return TestPattern(assignments)
+    if pattern.is_row_over(input_ids):
+        return pattern
+    values = pattern.assignments
     words: Dict[int, int] = {}
+    bits: List[int] = []
     for pos, net_id in enumerate(input_ids):
-        if net_id not in assignments:
+        value = values.get(net_id)
+        if value is None:
             w = pos >> 6
             word = words.get(w)
             if word is None:
                 word = stream_word(seed, pattern_index, w, DOMAIN_FILL)
                 words[w] = word
-            assignments[net_id] = (word >> (pos & 63)) & 1
-    return TestPattern(assignments)
+            value = (word >> (pos & 63)) & 1
+        bits.append(value)
+    return row_pattern(input_ids, bits)
 
 
 def fill_test_set(

@@ -31,6 +31,7 @@ from typing import List, Optional
 from .atpg import dump_vectors, export_program
 from .circuit import netlist_stats
 from .core import decompose, soc_table, summarize
+from .errors import ReproError
 from .experiments.runner import EXPERIMENTS, run_experiments
 from .flags import (
     add_experiment_arguments,
@@ -202,6 +203,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Output piped into head/less and closed early — not an error.
         sys.stderr.close()
         return 0
+    except ReproError as error:
+        # Bad input or a refused run: one line, not a traceback.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -201,9 +201,23 @@ def test_set_to_dict(test_set) -> Dict[str, Any]:
 
     ``inputs`` lists every net id any pattern assigns, numerically
     sorted; character ``i`` of a row is the pattern's value on
-    ``inputs[i]``, ``-`` where it leaves that input X.
+    ``inputs[i]``, ``-`` where it leaves that input X.  When every
+    pattern is a row over the same ascending ids, those rows are the
+    entry's rows already and are written as they are.
     """
-    assignments = [pattern.assignments for pattern in test_set.patterns]
+    patterns = test_set.patterns
+    row_ids = patterns[0].row_ids if patterns else None
+    if (
+        row_ids is not None
+        and all(a < b for a, b in zip(row_ids, row_ids[1:]))
+        and all(p.row_ids is row_ids or p.row_ids == row_ids for p in patterns)
+    ):
+        return {
+            "circuit": test_set.circuit_name,
+            "inputs": list(row_ids),
+            "patterns": [pattern.row for pattern in patterns],
+        }
+    assignments = [pattern.assignments for pattern in patterns]
     ids = sorted(set().union(*assignments))
     return {
         "circuit": test_set.circuit_name,
@@ -223,7 +237,9 @@ def test_set_from_dict(data: Dict[str, Any]):
     Every field is checked before it is used — input ids strictly
     increasing non-negative ints, rows strings of exactly one ``0``,
     ``1`` or ``-`` per input — and a violation raises
-    :class:`~repro.errors.CacheCorruptionError`.
+    :class:`~repro.errors.CacheCorruptionError`.  A row without ``-``
+    decodes to a row pattern over ``inputs``; only a row with X bits
+    becomes a dict.
     """
     from ..atpg.patterns import TestPattern, TestSet
 
@@ -242,10 +258,13 @@ def test_set_from_dict(data: Dict[str, Any]):
         raw = row.encode("ascii")
         if raw.translate(None, b"01-"):
             raise _corrupt("pattern rows may only hold 0, 1 and -")
-        pairs = zip(ids, raw.translate(_CHAR_TO_VALUE))
         if b"-" in raw:
-            pairs = compress(pairs, raw.translate(_CHAR_IS_CARE))
-        patterns.append(TestPattern(dict(pairs)))
+            pairs = zip(ids, raw.translate(_CHAR_TO_VALUE))
+            patterns.append(
+                TestPattern(dict(compress(pairs, raw.translate(_CHAR_IS_CARE))))
+            )
+        else:
+            patterns.append(TestPattern.from_row(ids, row))
     return TestSet(circuit_name=circuit, patterns=patterns)
 
 

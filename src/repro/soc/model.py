@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+from ..errors import ReproError
 
-class SocModelError(ValueError):
+
+class SocModelError(ReproError, ValueError):
     """Raised when an SOC description is structurally invalid."""
 
 

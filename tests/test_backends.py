@@ -29,16 +29,13 @@ from repro.atpg.faultsim import (
     SIM_STATS,
     reset_sim_stats,
 )
-from repro.atpg.logicsim import (
-    pack_full_patterns_flat,
-    pack_patterns_flat,
-    simulate_flat,
-    simulate_flat_sparse,
-)
+from repro.atpg.logicsim import pack_patterns_flat, simulate_flat, simulate_flat_sparse
 from repro.atpg.patterns import random_pattern_rails
 from repro.errors import ConfigError
 from repro.runtime.config import AtpgConfig
 from repro.synth import GeneratorSpec, generate_circuit
+
+from .pattern_refs import pack_full_patterns_flat
 
 HAS_NUMPY = numpy_available()
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")

@@ -1,5 +1,10 @@
 """Unit tests for the repro CLI (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.circuit import save_bench_file
@@ -152,3 +157,37 @@ class TestNativeItc02Input:
         assert main(["tdv", str(path)]) == 0
         out = capsys.readouterr().out
         assert "mini" in out and "TDV modular" in out
+
+
+class TestErrorsAreOneLine:
+    """A ReproError exits 2 with one stderr line, never a traceback."""
+
+    # The top core embeds a core the file never defines.
+    UNDEFINED_EMBED = (
+        "Soc bad\nTop top\nCore top\n    Inputs 4\n    Outputs 4\n"
+        "    Patterns 10\n    Embeds ghost\nEnd\n"
+    )
+    BAD_INTEGER = (
+        "Soc bad\nTop top\nCore top\n    Inputs x\n    Outputs 4\n"
+        "    Patterns 10\nEnd\n"
+    )
+
+    @pytest.mark.parametrize("text,message", [
+        (UNDEFINED_EMBED, "embeds unknown core 'ghost'"),
+        (BAD_INTEGER, "line 4: expected an integer, got 'x'"),
+    ])
+    def test_bad_soc_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.soc"
+        path.write_text(text)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "tdv", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert completed.stderr.startswith("repro: error: ")
+        assert completed.stderr.count("\n") == 1
+        assert message in completed.stderr
+        assert "Traceback" not in completed.stderr

@@ -39,16 +39,12 @@ from repro.atpg import (
 )
 from repro.atpg import patterns as patterns_module
 from repro.atpg.engine import _PatternBlock
-from repro.atpg.faultsim import SIM_STATS, reset_sim_stats
 from repro.atpg.logicsim import pack_patterns_flat, simulate_flat
-from repro.atpg.patterns import (
-    TestPattern,
-    pattern_from_rails,
-    random_pattern,
-    random_pattern_rails,
-)
+from repro.atpg.patterns import TestPattern, random_pattern, random_pattern_rails
 from repro.atpg.podem import ImplicationKernel, X
 from repro.synth.generator import GeneratorSpec, generate_circuit
+
+from .pattern_refs import pattern_from_rails
 
 
 def make_circuit(seed, gates=160, inputs=9, outputs=5, flip_flops=6):
@@ -290,22 +286,6 @@ class TestDetectMasksBatch:
             assert mask == simulator.detect_mask(good, count, fault), (
                 fault.describe(circuit)
             )
-
-    def test_good_value_cache_hit_on_replayed_batch(self):
-        circuit = make_circuit(5, gates=80)
-        rng = random.Random(77)
-        patterns = [
-            {n: rng.getrandbits(1) for n in circuit.input_ids}
-            for _ in range(16)
-        ]
-        simulator = FaultSimulator(circuit)
-        reset_sim_stats()
-        first, count1 = simulator.good_values(patterns)
-        hits_after_first = SIM_STATS["good_cache_hits"]
-        second, count2 = simulator.good_values(patterns)
-        assert SIM_STATS["good_cache_hits"] == hits_after_first + 1
-        assert count1 == count2
-        assert first is second
 
 
 class TestFaultParallel:

@@ -498,5 +498,8 @@ class TestCliResume:
                 "--run-dir", str(tmp_path / "run")]
         assert main(argv) == 0
         capsys.readouterr()
-        with pytest.raises(ConfigError):
-            main(argv)
+        # The ConfigError reaches the user as one line and exit code 2.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: run directory ")
+        assert "already holds journaled results" in err
