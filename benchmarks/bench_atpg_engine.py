@@ -9,19 +9,10 @@ and faults simulated per second) plus a per-phase wall-time breakdown
 appends a machine-readable record to ``BENCH_atpg.json`` for CI to
 publish and gate.
 
-Two timing protocols, named by each record's ``throughput_basis``:
-
-* ``cold`` (the stream-1 entries) — one ``generate_tests(netlist)``
-  call including circuit compilation and fault collapsing, as a fresh
-  caller would pay it.
-* ``warm_generate`` (the stream-2 entries) — the circuit is compiled,
-  the kernel backend prepared and the fault list collapsed *outside*
-  the timed region.  That is the cost population-scale sweeps actually
-  pay per run (they reuse compiled circuits), and it is the basis the
-  stream-2 throughput targets are stated against.
+Every record is timed on the ``cold`` basis (its ``throughput_basis``):
+one ``generate_tests(netlist)`` call including circuit compilation and
+fault collapsing, as a fresh caller would pay it.
 """
-
-import os
 
 import pytest
 
@@ -62,19 +53,18 @@ def _throughput(result, seconds, stats):
     )
 
 
-def _entry(netlist, result, seconds, stats, phases, basis):
+def _entry(netlist, result, seconds, stats, phases):
     patterns_per_s, faults_per_s = _throughput(result, seconds, stats)
-    seconds_field = "cold_seconds" if basis == "cold" else "generate_seconds"
     entry = {
         "gates": len(netlist.gates),
-        seconds_field: round(seconds, 4),
+        "cold_seconds": round(seconds, 4),
         "patterns": result.pattern_count,
         "fault_coverage": round(result.fault_coverage, 6),
         "patterns_per_second": round(patterns_per_s, 1),
         "faults_simulated_per_second": round(faults_per_s, 1),
         "backend": warm_backend(),
         "blocks_evaluated": stats["blocks_evaluated"],
-        "throughput_basis": basis,
+        "throughput_basis": "cold",
     }
     for span, field in PHASE_FIELDS:
         entry[field] = round(phases.get(span, 0.0), 4)
@@ -107,7 +97,7 @@ def test_bench_atpg_scaling(benchmark, label, gates, inputs, outputs, ffs):
     result, seconds, stats, phases = run_timed(
         benchmark, generate_tests, netlist, 19
     )
-    entry = _entry(netlist, result, seconds, stats, phases, "cold")
+    entry = _entry(netlist, result, seconds, stats, phases)
     _report(label, netlist, result, seconds, entry)
     record_bench(label, entry)
     # Quality gates: full testable coverage, no aborts at this size.
@@ -115,64 +105,6 @@ def test_bench_atpg_scaling(benchmark, label, gates, inputs, outputs, ffs):
     assert not result.aborted
     # Claimed coverage must match an independent re-simulation.
     _verify_claimed_coverage(netlist, result)
-
-
-@pytest.mark.parametrize("label,gates,inputs,outputs,ffs", SIZES)
-def test_bench_atpg_stream2(benchmark, label, gates, inputs, outputs, ffs):
-    """The counter-based epoch, timed on the warm-generate basis."""
-    netlist = _scale_netlist(label, gates, inputs, outputs, ffs)
-    circuit = CompiledCircuit(netlist)
-    circuit.backend.prepare(circuit)
-    faults = collapse_faults(circuit)
-    # One untimed run warms the per-circuit memoizations (PODEM
-    # tables, FFR views) the warm-generate basis is defined to exclude.
-    generate_tests(netlist, 19, stream=2, circuit=circuit, faults=faults)
-    result, seconds, stats, phases = run_timed(
-        benchmark, generate_tests, netlist, 19,
-        stream=2, circuit=circuit, faults=faults,
-    )
-    entry = _entry(netlist, result, seconds, stats, phases, "warm_generate")
-    entry["stream"] = 2
-    _report(f"{label}_stream2", netlist, result, seconds, entry)
-    record_bench(f"{label}_stream2", entry)
-    assert result.testable_coverage == 1.0
-    assert not result.aborted
-    _verify_claimed_coverage(netlist, result)
-    # The epoch must never trade coverage away: equal-or-better than
-    # stream 1 on every committed bench circuit.
-    stream1 = generate_tests(netlist, 19, circuit=circuit, faults=faults)
-    assert result.fault_coverage >= stream1.fault_coverage
-
-
-def test_bench_atpg_stream2_fault_parallel(benchmark):
-    """Fault-parallel stream-2 generation: byte-identical to serial.
-
-    The wall-clock numbers are recorded honestly for whatever machine
-    runs the bench (the ``cpus`` field says how many cores that was —
-    on a single-core host the worker pool is pure overhead and the
-    entry documents exactly that); the *assertion* is the one property
-    that must hold everywhere: workers=4 produces bit-for-bit the
-    pattern set of the serial run.
-    """
-    label, gates, inputs, outputs, ffs = SIZES[-1]
-    netlist = _scale_netlist(label, gates, inputs, outputs, ffs)
-    circuit = CompiledCircuit(netlist)
-    circuit.backend.prepare(circuit)
-    faults = collapse_faults(circuit)
-    serial = generate_tests(netlist, 19, stream=2, circuit=circuit, faults=faults)
-    result, seconds, stats, phases = run_timed(
-        benchmark, generate_tests, netlist, 19,
-        stream=2, workers=4, circuit=circuit, faults=faults,
-    )
-    entry = _entry(netlist, result, seconds, stats, phases, "warm_generate")
-    entry["stream"] = 2
-    entry["workers"] = 4
-    entry["cpus"] = os.cpu_count()
-    _report(f"{label}_stream2_w4", netlist, result, seconds, entry)
-    record_bench(f"{label}_stream2_w4", entry)
-    assert [p.assignments for p in result.test_set.patterns] == \
-        [p.assignments for p in serial.test_set.patterns]
-    assert result.detected_count == serial.detected_count
 
 
 def test_bench_monolithic_soc1_atpg(benchmark):
@@ -183,13 +115,10 @@ def test_bench_monolithic_soc1_atpg(benchmark):
     result, seconds, stats, phases = run_timed(
         benchmark, generate_tests, design.monolithic, 3
     )
-    entry = _entry(design.monolithic, result, seconds, stats, phases, "cold")
+    entry = _entry(design.monolithic, result, seconds, stats, phases)
     _report("soc1_monolithic", design.monolithic, result, seconds, entry)
     record_bench("soc1_monolithic", entry)
     assert result.fault_coverage > 0.98
-    # Coverage parity of the counter-based epoch on the SOC too.
-    stream2 = generate_tests(design.monolithic, 3, stream=2)
-    assert stream2.fault_coverage >= result.fault_coverage
 
 
 if __name__ == "__main__":

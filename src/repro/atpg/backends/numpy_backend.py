@@ -101,7 +101,7 @@ class _CircuitPlan:
     """Compile-time array tables for one circuit (cached on it).
 
     Built lazily on first use and shared by every simulator holding the
-    circuit; shipping a planned circuit to shard workers pickles the
+    circuit; shipping a planned circuit to a worker process pickles the
     tables along (they are pure derived state).
     """
 
@@ -255,16 +255,6 @@ class NumpyBackend:
         if circuit.net_count >= MID_NET_THRESHOLD:
             return MID_LANES
         return 1
-
-    def prepare(self, circuit: CompiledCircuit) -> None:
-        """Build (and cache on the circuit) the derived array tables now.
-
-        Normally the plan is built lazily inside the first wide detect
-        call.  Callers about to fork worker processes build it eagerly
-        instead, so every forked worker inherits the warm plan rather
-        than rebuilding it cold.
-        """
-        _plan_for(circuit)
 
     # -- vectorized fanout-free-region detect masks ---------------------
 

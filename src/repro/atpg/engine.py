@@ -22,18 +22,11 @@ from .backends import BACKEND_RUNS
 from .compaction import static_compact
 from .compiled import CompiledCircuit
 from .faults import Fault, collapse_faults
-from . import faultsim as _faultsim
-from .faultsim import (
-    FaultShardPool,
-    FaultSimulator,
-    publish_kernel_stats,
-    sim_stats,
-)
+from .faultsim import FaultSimulator, publish_kernel_stats, sim_stats
 from .logicsim import RailBatch, pack_patterns_flat, simulate_flat_sparse
 from .patterns import TestPattern, TestSet, pack_rows
 from .podem import Podem, PodemOutcome
 from .random_phase import run_random_phase
-from .streams import fill_test_set
 
 ATPG_RUNS = register_counter("atpg.runs", "generate_tests invocations")
 ATPG_FAULTS_TOTAL = register_counter("atpg.faults.total", "collapsed faults targeted")
@@ -179,8 +172,6 @@ def generate_tests(
     dynamic_compaction: int = 0,
     config: Optional[AtpgConfig] = None,
     circuit: Optional[CompiledCircuit] = None,
-    workers: int = 1,
-    stream: int = 1,
 ) -> AtpgResult:
     """Run the full ATPG flow on a netlist's full-scan view.
 
@@ -206,25 +197,6 @@ def generate_tests(
     compilation and its memoized cone/reachability precomputation.  It
     is pure shared state, never part of a run's identity, and does not
     enter the :meth:`~repro.runtime.config.AtpgConfig.fingerprint`.
-
-    ``workers`` > 1 shards the final verification fault simulation
-    across a process pool (:class:`~repro.atpg.faultsim.FaultShardPool`);
-    the merged masks are bit-identical to the serial pass, so — like
-    ``circuit`` — it is an execution detail, never part of a run's
-    identity, and deliberately not an :class:`AtpgConfig` field.
-
-    ``stream`` selects the pattern-stream epoch
-    (:mod:`repro.atpg.streams`).  Stream 1 (default) is the legacy
-    sequential draw order, byte-identical to every historical run.
-    Stream 2 is the counter-based order-independent generator: random
-    blocks are drawn as pure functions of the pattern index, X-fill is
-    keyed per pattern, the deterministic phase runs fault-sharded
-    across ``workers`` in canonical rounds with cross-shard
-    detected-fault exchange, and verification credits keepers from the
-    random phase's own bookkeeping.  Stream-2 results are byte-identical
-    across worker counts and backends — only against *each other*, not
-    against stream 1; the epoch is part of the run identity
-    (:class:`AtpgConfig` fingerprints it).
     """
     if config is not None:
         seed = config.seed
@@ -232,7 +204,6 @@ def generate_tests(
         random_batches = config.random_batches
         compact = config.compact
         dynamic_compaction = config.dynamic_compaction
-        stream = config.stream
 
     tracer = get_tracer()
     kernel_baseline = sim_stats() if tracer.enabled else None
@@ -247,96 +218,61 @@ def generate_tests(
             all_faults = list(faults)
 
         simulator = FaultSimulator(circuit)
-        pool: Optional[FaultShardPool] = None
-        if stream == 2 and workers > 1:
-            # Build the backend's derived tables before the pool forks,
-            # so every worker inherits them warm; the no-op prewarm
-            # overlaps process startup with the random phase below.
-            circuit.backend.prepare(circuit)
-            pool = FaultShardPool(circuit, all_faults, workers, simulator)
-            pool.prewarm()
-        try:
-            random_result = run_random_phase(
-                circuit, all_faults, seed=seed, max_batches=random_batches,
-                stream=stream, pool=pool,
-            )
-            remaining = random_result.remaining_faults
+        random_result = run_random_phase(
+            circuit, all_faults, seed=seed, max_batches=random_batches
+        )
+        remaining = random_result.remaining_faults
 
-            deterministic: List[TestPattern] = []
-            untestable: List[Fault] = []
-            aborted: List[Fault] = []
-            abort = get_abort()
-            with tracer.span("podem"):
-                if stream == 2:
-                    deterministic, untestable, aborted = _podem_stream2(
-                        circuit,
-                        simulator,
-                        remaining,
-                        backtrack_limit,
-                        dynamic_compaction,
-                        pool,
+        deterministic: List[TestPattern] = []
+        untestable: List[Fault] = []
+        aborted: List[Fault] = []
+        abort = get_abort()
+        with tracer.span("podem"):
+            podem = Podem(circuit, backtrack_limit=backtrack_limit)
+            queue: Deque[Fault] = deque(remaining)
+            block = _PatternBlock(simulator)
+            while queue:
+                abort.check()
+                fault = queue.popleft()
+                # Lazy fault dropping: a fault detected by any pattern
+                # since the last flush is discarded here, exactly where
+                # the eager per-pattern filter would already have
+                # removed it.
+                if block.detects(fault):
+                    continue
+                result = podem.generate(fault)
+                if result.outcome is PodemOutcome.UNTESTABLE:
+                    untestable.append(fault)
+                    continue
+                if result.outcome is PodemOutcome.ABORTED:
+                    aborted.append(fault)
+                    continue
+                pattern = result.pattern
+                if dynamic_compaction > 0:
+                    pattern = _extend_with_secondary_targets(
+                        podem,
+                        pattern,
+                        _pop_secondary_candidates(queue, block, dynamic_compaction),
                     )
-                else:
-                    podem = Podem(circuit, backtrack_limit=backtrack_limit)
-                    queue: Deque[Fault] = deque(remaining)
-                    block = _PatternBlock(simulator)
-                    while queue:
-                        abort.check()
-                        fault = queue.popleft()
-                        # Lazy fault dropping: a fault detected by any
-                        # pattern since the last flush is discarded here,
-                        # exactly where the eager per-pattern filter
-                        # would already have removed it.
-                        if block.detects(fault):
-                            continue
-                        result = podem.generate(fault)
-                        if result.outcome is PodemOutcome.UNTESTABLE:
-                            untestable.append(fault)
-                            continue
-                        if result.outcome is PodemOutcome.ABORTED:
-                            aborted.append(fault)
-                            continue
-                        pattern = result.pattern
-                        if dynamic_compaction > 0:
-                            pattern = _extend_with_secondary_targets(
-                                podem,
-                                pattern,
-                                _pop_secondary_candidates(
-                                    queue, block, dynamic_compaction
-                                ),
-                            )
-                        deterministic.append(pattern)
-                        block.add(pattern)
-                        if block.full:
-                            block.flush(queue)
+                deterministic.append(pattern)
+                block.add(pattern)
+                if block.full:
+                    block.flush(queue)
 
-            pre_compaction = len(deterministic)
-            with tracer.span("compact"):
-                if compact and deterministic:
-                    deterministic = static_compact(deterministic)
+        pre_compaction = len(deterministic)
+        with tracer.span("compact"):
+            if compact and deterministic:
+                deterministic = static_compact(deterministic)
 
-            combined = TestSet(
-                circuit_name=netlist.name,
-                patterns=random_result.patterns + deterministic,
-            )
-            with tracer.span("fill"):
-                if stream == 2:
-                    filled = fill_test_set(combined, circuit, seed)
-                else:
-                    filled = combined.filled(circuit, seed=seed)
+        combined = TestSet(
+            circuit_name=netlist.name,
+            patterns=random_result.patterns + deterministic,
+        )
+        with tracer.span("fill"):
+            filled = combined.filled(circuit, seed=seed)
 
-            with tracer.span("verify"):
-                kept, detected = _verify_and_prune(
-                    circuit,
-                    filled,
-                    all_faults,
-                    simulator,
-                    workers=workers,
-                    pool=pool,
-                )
-        finally:
-            if pool is not None:
-                pool.close()
+        with tracer.span("verify"):
+            kept, detected = _verify_and_prune(circuit, filled, all_faults, simulator)
 
         if tracer.enabled:
             tracer.count(ATPG_RUNS)
@@ -406,196 +342,11 @@ def _extend_with_secondary_targets(
     return current
 
 
-# -- the stream-2 fault-parallel deterministic phase ----------------------
-#
-# Under the counter stream there is no draw-order coupling left, so the
-# only sequential dependency in the PODEM phase is fault dropping.  The
-# remaining faults are partitioned into a *canonical* shard layout (a
-# function of the fault count alone — never of the worker count), each
-# shard task is a pure function of (circuit, shard faults, knobs), and
-# shards exchange their detected faults between rounds.  The serial
-# fallback executes the identical task schedule in-process, which is
-# what makes worker count an execution detail: every pattern, order,
-# and classification is byte-identical at any parallelism.
-
-_STREAM2_MAX_SHARDS = 8
-_STREAM2_MIN_PER_SHARD = 3
-_STREAM2_ROUND_QUOTA = 32
-
-
-def _stream2_shard_count(fault_count: int) -> int:
-    """Canonical shard count — a function of the fault count alone."""
-    return max(1, min(_STREAM2_MAX_SHARDS, fault_count // _STREAM2_MIN_PER_SHARD))
-
-
-def _generate_for_shard(
-    circuit: CompiledCircuit,
-    simulator: FaultSimulator,
-    faults: List[Fault],
-    backtrack_limit: int,
-    dynamic_compaction: int,
-) -> tuple:
-    """One shard task of the stream-2 deterministic phase.
-
-    A fresh :class:`Podem` and pattern block per task make the task a
-    pure function of its inputs — the same code runs in the parent's
-    serial fallback and in every pool worker, so where a task executes
-    cannot change a single pattern bit.  Untestable/aborted faults come
-    back as positions into ``faults`` (cheap to ship from workers).
-    """
-    podem = Podem(circuit, backtrack_limit=backtrack_limit)
-    queue: Deque[Fault] = deque(faults)
-    position = {fault: i for i, fault in enumerate(faults)}
-    block = _PatternBlock(simulator)
-    patterns: List[TestPattern] = []
-    untestable: List[int] = []
-    aborted: List[int] = []
-    while queue:
-        fault = queue.popleft()
-        if block.detects(fault):
-            continue
-        result = podem.generate(fault)
-        if result.outcome is PodemOutcome.UNTESTABLE:
-            untestable.append(position[fault])
-            continue
-        if result.outcome is PodemOutcome.ABORTED:
-            aborted.append(position[fault])
-            continue
-        pattern = result.pattern
-        if dynamic_compaction > 0:
-            pattern = _extend_with_secondary_targets(
-                podem,
-                pattern,
-                _pop_secondary_candidates(queue, block, dynamic_compaction),
-            )
-        patterns.append(pattern)
-        block.add(pattern)
-        if block.full:
-            block.flush(queue)
-    return patterns, untestable, aborted
-
-
-def _shard_generate(
-    indices: List[int], backtrack_limit: int, dynamic_compaction: int
-) -> tuple:
-    """Worker entry point: one stream-2 PODEM shard task.
-
-    Runs against the circuit/fault state the pool initializer installed
-    (:func:`repro.atpg.faultsim._shard_init`); patterns travel back as
-    their assignment dicts.
-    """
-    simulator = _faultsim._SHARD_SIMULATOR
-    faults = [_faultsim._SHARD_FAULTS[i] for i in indices]
-    patterns, untestable, aborted = _generate_for_shard(
-        simulator.circuit, simulator, faults, backtrack_limit, dynamic_compaction
-    )
-    return [p.assignments for p in patterns], untestable, aborted
-
-
-def _drop_round_detected(
-    simulator: FaultSimulator,
-    patterns: List[TestPattern],
-    queues: List[Deque[Fault]],
-) -> None:
-    """Cross-shard exchange: drop queued faults the round's patterns hit.
-
-    Detection is a monotone OR over patterns, so the lane-dependent
-    chunking below never changes which faults survive — only how many
-    patterns each detect call sweeps at once.
-    """
-    circuit = simulator.circuit
-    capacity = 64 * circuit.block_lanes
-    for start in range(0, len(patterns), capacity):
-        block = _PatternBlock(simulator)
-        for pattern in patterns[start:start + capacity]:
-            block.add(pattern)
-        good = RailBatch(block.ones, block.zeros, block.count)
-        for queue in queues:
-            if not queue:
-                continue
-            masks = simulator.detect_masks(good, block.count, queue)
-            survivors = [fault for fault, mask in zip(queue, masks) if not mask]
-            if len(survivors) != len(queue):
-                queue.clear()
-                queue.extend(survivors)
-
-
-def _podem_stream2(
-    circuit: CompiledCircuit,
-    simulator: FaultSimulator,
-    remaining: List[Fault],
-    backtrack_limit: int,
-    dynamic_compaction: int,
-    pool: Optional[FaultShardPool],
-) -> tuple:
-    """The deterministic phase in canonical fault-sharded rounds.
-
-    Each round takes up to ``_STREAM2_ROUND_QUOTA`` faults from every
-    live shard queue, runs the tasks (on the pool when one is available,
-    else serially — same tasks, same order), merges the results in
-    shard order, and exchanges the round's detections across all
-    queues.  The schedule depends only on the fault list, so any worker
-    count — including zero pool workers — produces byte-identical
-    patterns and fault classifications.
-    """
-    deterministic: List[TestPattern] = []
-    untestable: List[Fault] = []
-    aborted: List[Fault] = []
-    faults = list(remaining)
-    if not faults:
-        return deterministic, untestable, aborted
-    shard_count = _stream2_shard_count(len(faults))
-    shard_size = -(-len(faults) // shard_count)
-    queues: List[Deque[Fault]] = [
-        deque(faults[start:start + shard_size])
-        for start in range(0, len(faults), shard_size)
-    ]
-    abort = get_abort()
-    while any(queues):
-        abort.check()
-        tasks: List[List[Fault]] = []
-        for queue in queues:
-            if queue:
-                take = min(len(queue), _STREAM2_ROUND_QUOTA)
-                tasks.append([queue.popleft() for _ in range(take)])
-        results = None
-        if pool is not None and len(tasks) > 1:
-            payloads = [
-                (pool.indices_of(task), backtrack_limit, dynamic_compaction)
-                for task in tasks
-            ]
-            raw = pool.run_tasks(_shard_generate, payloads)
-            if raw is not None:
-                results = [
-                    ([TestPattern(assignments) for assignments in patterns],
-                     untestable_pos, aborted_pos)
-                    for patterns, untestable_pos, aborted_pos in raw
-                ]
-        if results is None:
-            results = [
-                _generate_for_shard(
-                    circuit, simulator, task, backtrack_limit, dynamic_compaction
-                )
-                for task in tasks
-            ]
-        round_patterns: List[TestPattern] = []
-        for task, (patterns, untestable_pos, aborted_pos) in zip(tasks, results):
-            round_patterns.extend(patterns)
-            untestable.extend(task[i] for i in untestable_pos)
-            aborted.extend(task[i] for i in aborted_pos)
-        deterministic.extend(round_patterns)
-        if round_patterns and any(queues):
-            _drop_round_detected(simulator, round_patterns, queues)
-    return deterministic, untestable, aborted
-
-
 def _verify_and_prune(
     circuit: CompiledCircuit,
     test_set: TestSet,
     faults: List[Fault],
     simulator: FaultSimulator,
-    workers: int = 1,
-    pool: Optional[FaultShardPool] = None,
 ) -> tuple:
     """Final fault simulation; drops patterns that add no coverage.
 
@@ -605,13 +356,6 @@ def _verify_and_prune(
     the classic reverse-order fault-simulation pruning, typically worth
     a multi-x pattern-count reduction over a forward pass.  The kept
     patterns come back in their original relative order.
-
-    With ``workers`` > 1 the per-batch mask sweep shards the remaining
-    fault list across a :class:`~repro.atpg.faultsim.FaultShardPool`;
-    the canonical-order merge keeps the kept set and detect counts
-    bit-identical to the serial pass.  An already-open ``pool`` (the
-    stream-2 engine keeps one alive across phases) is reused instead of
-    spawning a fresh one, and is left open for the caller to close.
     """
     remaining = list(faults)
     detected = 0
@@ -624,28 +368,21 @@ def _verify_and_prune(
     keep_flags = [False] * len(patterns)
     reversed_index = list(range(len(patterns) - 1, -1, -1))
     abort = get_abort()
-    own_pool = pool is None
-    if own_pool:
-        pool = FaultShardPool(circuit, faults, workers, simulator)
-    try:
-        for start in range(0, len(patterns), batch_size):
-            abort.check()
-            chunk = reversed_index[start:start + batch_size]
-            # Filled patterns are rows over the circuit's inputs.
-            ones, zeros = pack_rows(circuit, [patterns[i].row for i in chunk])
-            good, count = simulator.good_values_rails(ones, zeros, len(chunk))
-            survivors = []
-            masks = pool.detect_masks(good, count, remaining)
-            for fault, mask in zip(remaining, masks):
-                if mask:
-                    detected += 1
-                    keep_flags[chunk[(mask & -mask).bit_length() - 1]] = True
-                else:
-                    survivors.append(fault)
-            remaining = survivors
-    finally:
-        if own_pool:
-            pool.close()
+    for start in range(0, len(patterns), batch_size):
+        abort.check()
+        chunk = reversed_index[start:start + batch_size]
+        # Filled patterns are rows over the circuit's inputs.
+        ones, zeros = pack_rows(circuit, [patterns[i].row for i in chunk])
+        good, count = simulator.good_values_rails(ones, zeros, len(chunk))
+        survivors = []
+        masks = simulator.detect_masks(good, count, remaining)
+        for fault, mask in zip(remaining, masks):
+            if mask:
+                detected += 1
+                keep_flags[chunk[(mask & -mask).bit_length() - 1]] = True
+            else:
+                survivors.append(fault)
+        remaining = survivors
     kept = TestSet(
         circuit_name=test_set.circuit_name,
         patterns=[p for p, keep in zip(patterns, keep_flags) if keep],
@@ -658,7 +395,6 @@ def generate_n_detect_tests(
     n_detect: int = 3,
     max_passes: Optional[int] = None,
     config: Optional[AtpgConfig] = None,
-    workers: int = 1,
 ) -> AtpgResult:
     """N-detect test generation: every fault observed ``n_detect`` times.
 
@@ -677,14 +413,10 @@ def generate_n_detect_tests(
     The engine knobs belong in ``config``
     (:class:`~repro.runtime.config.AtpgConfig`): the loose ``seed`` /
     ``backtrack_limit`` keywords of earlier releases are gone — passing
-    them is a :class:`TypeError` now.  ``workers`` fans the
-    verification and quota-charging fault simulations out across
-    processes (bit-identical for any count) and, like the engine's,
-    stays out of ``config``.
+    them is a :class:`TypeError` now.
     """
     seed = config.seed if config is not None else 0
     backtrack_limit = config.backtrack_limit if config is not None else 100
-    stream = config.stream if config is not None else 1
     if n_detect < 1:
         raise ValueError(f"n_detect must be >= 1, got {n_detect}")
     circuit = CompiledCircuit(
@@ -700,45 +432,41 @@ def generate_n_detect_tests(
     passes = 0
     limit = max_passes if max_passes is not None else n_detect + 2
     abort = get_abort()
-    with FaultShardPool(circuit, all_faults, workers, simulator) as pool:
-        while passes < limit and remaining_quota:
-            abort.check()
+    while passes < limit and remaining_quota:
+        abort.check()
+        targets = list(remaining_quota)
+        result = generate_tests(
+            netlist,
+            seed=seed + passes,
+            backtrack_limit=backtrack_limit,
+            faults=targets,
+            circuit=circuit,
+        )
+        if passes == 0:
+            untestable = result.untestable
+            for fault in untestable:
+                remaining_quota.pop(fault, None)
+        aborted = result.aborted
+        combined.patterns.extend(result.test_set.patterns)
+        # Charge the new patterns against the quotas they serve, a block
+        # at a time: the popcount of the detect mask is exactly the
+        # number of per-pattern decrements the one-at-a-time loop would
+        # make, and a quota only ever hits zero once, so the chunking
+        # never changes which faults retire or the surviving dict order.
+        new_patterns = result.test_set.patterns
+        charge_width = 64 * circuit.block_lanes
+        for start in range(0, len(new_patterns), charge_width):
+            batch = new_patterns[start:start + charge_width]
+            ones, zeros = pack_rows(circuit, [p.row for p in batch])
+            good, count = simulator.good_values_rails(ones, zeros, len(batch))
             targets = list(remaining_quota)
-            result = generate_tests(
-                netlist,
-                seed=seed + passes,
-                backtrack_limit=backtrack_limit,
-                faults=targets,
-                circuit=circuit,
-                workers=workers,
-                stream=stream,
-            )
-            if passes == 0:
-                untestable = result.untestable
-                for fault in untestable:
-                    remaining_quota.pop(fault, None)
-            aborted = result.aborted
-            combined.patterns.extend(result.test_set.patterns)
-            # Charge the new patterns against the quotas they serve, a
-            # block at a time: the popcount of the detect mask is
-            # exactly the number of per-pattern decrements the
-            # one-at-a-time loop would make, and a quota only ever hits
-            # zero once, so the chunking never changes which faults
-            # retire or the surviving dict order.
-            new_patterns = result.test_set.patterns
-            charge_width = 64 * circuit.block_lanes
-            for start in range(0, len(new_patterns), charge_width):
-                batch = new_patterns[start:start + charge_width]
-                ones, zeros = pack_rows(circuit, [p.row for p in batch])
-                good, count = simulator.good_values_rails(ones, zeros, len(batch))
-                targets = list(remaining_quota)
-                masks = pool.detect_masks(good, count, targets)
-                for fault, mask in zip(targets, masks):
-                    if mask:
-                        remaining_quota[fault] -= bin(mask).count("1")
-                        if remaining_quota[fault] <= 0:
-                            del remaining_quota[fault]
-            passes += 1
+            masks = simulator.detect_masks(good, count, targets)
+            for fault, mask in zip(targets, masks):
+                if mask:
+                    remaining_quota[fault] -= bin(mask).count("1")
+                    if remaining_quota[fault] <= 0:
+                        del remaining_quota[fault]
+        passes += 1
 
     satisfied = len(all_faults) - len(untestable) - len(remaining_quota)
     return AtpgResult(

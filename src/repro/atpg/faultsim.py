@@ -23,9 +23,6 @@ bit-identical to the full-cone reference rescan
 
 from __future__ import annotations
 
-import os
-
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..observability import register_counter
@@ -48,8 +45,6 @@ SIM_STATS = {
     "fault_pattern_evals": 0,
     "gate_evals": 0,
     "blocks_evaluated": 0,
-    "shard_bytes_shared": 0,
-    "shard_bytes_pickled": 0,
 }
 
 
@@ -81,14 +76,6 @@ KERNEL_METRICS = {
     "blocks_evaluated": register_counter(
         "kernel.blocks_evaluated",
         "packed pattern blocks simulated through the good machine",
-    ),
-    "shard_bytes_shared": register_counter(
-        "shard.bytes_shared",
-        "pattern-block bytes moved to shard workers via shared memory",
-    ),
-    "shard_bytes_pickled": register_counter(
-        "shard.bytes_pickled",
-        "pattern-block bytes moved to shard workers via pickle",
     ),
 }
 
@@ -973,433 +960,17 @@ class FaultSimulator:
         return useful
 
 
-# -- fault-parallel sharding ---------------------------------------------
-#
-# Verification-style passes (final verify/prune, coverage checks,
-# n-detect quota charging) sweep a fixed collapsed fault list against
-# many pattern batches.  Faults are independent under single-fault
-# simulation, so the list shards cleanly across worker processes; the
-# circuit and the full fault list ship once per worker (pool
-# initializer), and each call moves only the packed input rails plus
-# the shard's fault indices.  Masks merge back in canonical fault-list
-# order, so any worker count is bit-identical to the serial loop.
-
-# Worker-process state installed by :func:`_shard_init`.
-_SHARD_SIMULATOR: Optional[FaultSimulator] = None
-_SHARD_FAULTS: List[Fault] = []
-_SHARD_SHM = None  # cached SharedMemory attachment (one segment per pool)
-
-
-class ShmAttachError(RuntimeError):
-    """A shard worker could not attach the pool's shared-memory segment.
-
-    Raised out of the worker (it pickles cleanly across the pool); the
-    parent catches it, retires the shared-memory channel, and redoes
-    the call over pickle — a degraded but correct transport.
-    """
-
-
-def _shard_init(circuit: CompiledCircuit, faults: List[Fault]) -> None:
-    """Pool initializer: build the per-worker simulator once."""
-    global _SHARD_SIMULATOR, _SHARD_FAULTS
-    _SHARD_SIMULATOR = FaultSimulator(circuit)
-    _SHARD_FAULTS = faults
-
-
-def _shard_rails(in_ones: List[int], in_zeros: List[int], count: int):
-    """Scatter input-net rails onto full-circuit rails and simulate."""
-    simulator = _SHARD_SIMULATOR
-    circuit = simulator.circuit
-    ones = [0] * circuit.net_count
-    zeros = [0] * circuit.net_count
-    for net_id, o, z in zip(circuit.input_ids, in_ones, in_zeros):
-        ones[net_id] = o
-        zeros[net_id] = z
-    return simulator.good_values_rails(ones, zeros, count)
-
-
-def _shard_detect(
-    indices: List[int], in_ones: List[int], in_zeros: List[int], count: int
-) -> List[int]:
-    """Worker entry point: detect masks for one shard of fault indices.
-
-    The good machine is re-simulated per worker from the input rails —
-    cheaper than pickling full net rails across.
-    """
-    simulator = _SHARD_SIMULATOR
-    good, n = _shard_rails(in_ones, in_zeros, count)
-    faults = _SHARD_FAULTS
-    return simulator.detect_masks(good, n, [faults[i] for i in indices])
-
-
-def _shard_noop() -> None:
-    """Prewarm task: forces worker processes to spawn (and fork) *now*.
-
-    Submitting one no-op per worker right after pool construction makes
-    the fork inherit the parent's already-built backend plan and overlaps
-    process startup with the random phase instead of stalling the first
-    real sharded call.
-    """
-
-
-def _shard_window_detect(
-    indices: Optional[List[int]],
-    in_ones: List[int],
-    in_zeros: List[int],
-    count: int,
-) -> List[int]:
-    """Worker entry point: masks for *all* pool faults over one window.
-
-    The pattern-axis dual of :func:`_shard_detect`: instead of one
-    worker per fault shard over the full batch, one worker takes the
-    full fault list (or the ``indices`` sub-list) over a 64-aligned
-    window of the pattern axis.  Used for the wide stream-2 sweeps
-    where the per-root region chases — whose cost scales with the word
-    count — dominate, so splitting patterns parallelizes the real work
-    while fault sharding would duplicate it per worker.
-    """
-    simulator = _SHARD_SIMULATOR
-    good, n = _shard_rails(in_ones, in_zeros, count)
-    faults = _SHARD_FAULTS
-    if indices is not None:
-        faults = [faults[i] for i in indices]
-    return simulator.detect_masks(good, n, faults)
-
-
-def _shard_detect_shm(
-    indices: List[int], shm_name: str, row_bytes: int, count: int
-) -> List[int]:
-    """Worker entry point: like :func:`_shard_detect`, rails via shm.
-
-    The parent publishes the batch's packed input rails into one
-    shared-memory segment (ones block then zeros block, one
-    ``row_bytes`` little-endian row per input net) before submitting;
-    calls are synchronous — the parent collects every future before
-    reusing the buffer — so a plain read here is race-free.  The
-    attachment is cached per worker; only the shard's fault indices and
-    this tiny descriptor cross the pipe.
-    """
-    global _SHARD_SHM
-    simulator = _SHARD_SIMULATOR
-    circuit = simulator.circuit
-    if _SHARD_SHM is None or _SHARD_SHM.name != shm_name:
-        try:
-            from multiprocessing import shared_memory
-
-            # Attaching re-registers the name with the (fork-shared)
-            # resource tracker; that is a set-idempotent no-op, and the
-            # parent's eventual unlink() performs the one unregister
-            # that balances it — no manual tracker bookkeeping here.
-            _SHARD_SHM = shared_memory.SharedMemory(name=shm_name)
-        except Exception as exc:
-            raise ShmAttachError(f"cannot attach {shm_name}: {exc}") from exc
-    input_count = len(circuit.input_ids)
-    data = bytes(_SHARD_SHM.buf[: 2 * input_count * row_bytes])
-    from_bytes = int.from_bytes
-    rails = [
-        from_bytes(data[offset: offset + row_bytes], "little")
-        for offset in range(0, len(data), row_bytes)
-    ]
-    good, n = _shard_rails(rails[:input_count], rails[input_count:], count)
-    faults = _SHARD_FAULTS
-    return simulator.detect_masks(good, n, [faults[i] for i in indices])
-
-
-class FaultShardPool:
-    """Fault-parallel :meth:`FaultSimulator.detect_masks` over processes.
-
-    Construction ships ``(circuit, faults)`` to every worker once;
-    :meth:`detect_masks` then accepts any sub-list of those faults (the
-    shrinking ``remaining`` lists of a verify pass) and returns masks in
-    the given order.  Degradation is always to the serial simulator:
-    when the pool cannot be created (restricted environments), when a
-    call has too few faults to amortize the IPC (``min_shard``), or
-    when a worker dies mid-call — the affected call is recomputed
-    serially and the pool is retired for the rest of the run.
-
-    Pattern rails normally travel to the workers through one
-    shared-memory segment created with the pool (the *zero-pickle*
-    channel): the parent publishes the packed input rails once per
-    call and each worker reads them in place, so only the shard's
-    fault indices cross the pickle pipe.  ``REPRO_NO_SHM=1`` disables
-    the channel; if a worker cannot attach the segment (chaos,
-    sandboxes that mask ``/dev/shm``), the channel is retired and the
-    call — and the rest of the run — degrades to pickled rails.
-    ``SIM_STATS["shard_bytes_shared"]`` / ``["shard_bytes_pickled"]``
-    count the rail bytes moved over each transport.
-
-    The cooperative ambient :class:`~repro.runtime.abort.AbortToken` is
-    checked once per call in the parent; shard tasks are batch-sized
-    and short, so deadline resolution matches the serial path's
-    once-per-batch checks.  Kernel counters (``SIM_STATS``) accrue in
-    the worker processes and are not merged back — throughput stats
-    are only meaningful for serial runs.
-    """
-
-    def __init__(
-        self,
-        circuit: CompiledCircuit,
-        faults: Sequence[Fault],
-        workers: int,
-        simulator: Optional[FaultSimulator] = None,
-        min_shard: int = 64,
-    ):
-        self.circuit = circuit
-        self.faults = list(faults)
-        self.workers = max(1, workers)
-        self.min_shard = max(1, min_shard)
-        self._simulator = simulator if simulator is not None else FaultSimulator(circuit)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._index_of: Dict[Fault, int] = {}
-        self._shm = None
-        # Widest batch the segment can carry: one 64-bit word per lane
-        # per input net and rail.  Wider calls fall back to pickle.
-        self._shm_row = 8 * circuit.block_lanes
-        if self.workers > 1 and len(self.faults) > self.min_shard:
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_shard_init,
-                    initargs=(circuit, self.faults),
-                )
-            except (OSError, PermissionError, ValueError):
-                self._pool = None  # no pool available: stay serial
-            else:
-                self._index_of = {fault: i for i, fault in enumerate(self.faults)}
-                self._shm = self._create_shm()
-
-    def _create_shm(self):
-        """The pool's rail segment, or None (disabled/unavailable)."""
-        if os.environ.get("REPRO_NO_SHM", "0") not in ("", "0"):
-            return None
-        size = 2 * len(self.circuit.input_ids) * self._shm_row
-        try:
-            from multiprocessing import shared_memory
-
-            return shared_memory.SharedMemory(create=True, size=max(1, size))
-        except Exception:
-            return None  # no shm on this platform: pickle rails instead
-
-    def detect_masks(
-        self, good: RailBatch, pattern_count: int, faults: Sequence[Fault]
-    ) -> List[int]:
-        """Masks for ``faults`` (a sub-list of the pool's fault list)."""
-        get_abort().check()
-        fault_list = list(faults)
-        pool = self._pool
-        if pool is None or len(fault_list) < 2 * self.min_shard:
-            return self._simulator.detect_masks(good, pattern_count, fault_list)
-        indices = [self._index_of[fault] for fault in fault_list]
-        shard_size = -(-len(indices) // self.workers)
-        shards = [
-            indices[start:start + shard_size]
-            for start in range(0, len(indices), shard_size)
-        ]
-        in_ones = [good.ones[i] for i in self.circuit.input_ids]
-        in_zeros = [good.zeros[i] for i in self.circuit.input_ids]
-        try:
-            if self._shm is not None and pattern_count <= 8 * self._shm_row:
-                masks = self._detect_shm(shards, in_ones, in_zeros, pattern_count)
-                if masks is not None:
-                    return masks
-                # Attach failed somewhere: the channel is now retired
-                # and the call must be redone over pickled rails.
-            return self._detect_pickled(shards, in_ones, in_zeros, pattern_count)
-        except BrokenExecutor:
-            # A worker died mid-call: retire the pool and recompute the
-            # whole call serially — correctness over partial credit.
-            self.close()
-            return self._simulator.detect_masks(good, pattern_count, fault_list)
-
-    def indices_of(self, faults: Sequence[Fault]) -> List[int]:
-        """Positions of ``faults`` in the pool's canonical fault list."""
-        index_of = self._index_of
-        return [index_of[fault] for fault in faults]
-
-    def prewarm(self) -> None:
-        """Start the worker processes now instead of at the first call.
-
-        Fire-and-forget no-ops, one per worker: the forks happen while
-        the caller is busy with other work (the engine prewarms right
-        after building the backend plan, so every worker inherits it
-        warm), and any startup failure simply surfaces at the first
-        real call through the usual serial degradation.
-        """
-        if self._pool is None:
-            return
-        try:
-            for _ in range(self.workers):
-                self._pool.submit(_shard_noop)
-        except Exception:
-            self.close()
-
-    def run_tasks(self, fn, arg_tuples) -> Optional[list]:
-        """Fan arbitrary picklable tasks across the pool, in order.
-
-        Returns the per-task results, or None when no pool is available
-        (never created, retired, or broken mid-call) — the caller runs
-        its serial fallback.  ``fn`` must be a module-level function;
-        worker-side state installed by :func:`_shard_init`
-        (``_SHARD_SIMULATOR``, ``_SHARD_FAULTS``) is available to it.
-        """
-        pool = self._pool
-        if pool is None:
-            return None
-        get_abort().check()
-        try:
-            futures = [pool.submit(fn, *args) for args in arg_tuples]
-            return [future.result() for future in futures]
-        except BrokenExecutor:
-            self.close()
-            return None
-
-    def detect_masks_patterns(
-        self, good: RailBatch, pattern_count: int, faults: Sequence[Fault]
-    ) -> List[int]:
-        """Masks for ``faults``, sharded along the *pattern* axis.
-
-        Each worker computes all the faults over one 64-aligned window
-        of the batch; the parent ORs the window masks back, shifted to
-        their pattern positions.  Dual-rail detection is per-bit
-        independent, so the merged masks are bit-identical to
-        :meth:`FaultSimulator.detect_masks` over the whole batch — this
-        is purely an execution strategy for wide X-free sweeps whose
-        region-chase cost scales with the word count.
-        """
-        get_abort().check()
-        fault_list = list(faults)
-        words = pattern_count >> 6
-        serial = (
-            self._pool is None
-            or pattern_count % 64
-            or words < 2
-            or len(fault_list) < self.min_shard
-        )
-        if serial:
-            return self._simulator.detect_masks(good, pattern_count, fault_list)
-        indices = [self._index_of[fault] for fault in fault_list]
-        window_words = -(-words // self.workers)
-        tasks = []
-        bases = []
-        for first in range(0, words, window_words):
-            base = first * 64
-            width = min(window_words * 64, pattern_count - base)
-            window_full = (1 << width) - 1
-            in_ones = [
-                (good.ones[i] >> base) & window_full
-                for i in self.circuit.input_ids
-            ]
-            in_zeros = [
-                (good.zeros[i] >> base) & window_full
-                for i in self.circuit.input_ids
-            ]
-            tasks.append((indices, in_ones, in_zeros, width))
-            bases.append(base)
-        results = self.run_tasks(_shard_window_detect, tasks)
-        if results is None:
-            return self._simulator.detect_masks(good, pattern_count, fault_list)
-        masks = [0] * len(fault_list)
-        for base, window_masks in zip(bases, results):
-            for k, mask in enumerate(window_masks):
-                if mask:
-                    masks[k] |= mask << base
-        return masks
-
-    def _detect_shm(
-        self,
-        shards: List[List[int]],
-        in_ones: List[int],
-        in_zeros: List[int],
-        pattern_count: int,
-    ) -> Optional[List[int]]:
-        """One sharded call over the shared-memory rail channel.
-
-        Returns None — after retiring the channel — when any worker
-        failed to attach the segment; BrokenExecutor propagates to the
-        caller's serial fallback.
-        """
-        row = self._shm_row
-        payload = b"".join(
-            value.to_bytes(row, "little") for value in in_ones + in_zeros
-        )
-        self._shm.buf[: len(payload)] = payload
-        name = self._shm.name
-        futures = [
-            self._pool.submit(_shard_detect_shm, shard, name, row, pattern_count)
-            for shard in shards
-        ]
-        masks: List[int] = []
-        failed = False
-        for future in futures:
-            try:
-                masks.extend(future.result())
-            except ShmAttachError:
-                failed = True
-        if failed:
-            self._close_shm()
-            return None
-        SIM_STATS["shard_bytes_shared"] += len(payload)
-        return masks
-
-    def _detect_pickled(
-        self,
-        shards: List[List[int]],
-        in_ones: List[int],
-        in_zeros: List[int],
-        pattern_count: int,
-    ) -> List[int]:
-        """One sharded call with the rails pickled into every task."""
-        futures = [
-            self._pool.submit(_shard_detect, shard, in_ones, in_zeros, pattern_count)
-            for shard in shards
-        ]
-        masks: List[int] = []
-        for future in futures:
-            masks.extend(future.result())
-        # Each shard task carries its own copy of both rails; count the
-        # minimal big-endian byte footprint of what was serialized.
-        SIM_STATS["shard_bytes_pickled"] += len(shards) * sum(
-            (value.bit_length() + 7) // 8 for value in in_ones + in_zeros
-        )
-        return masks
-
-    def _close_shm(self) -> None:
-        if self._shm is not None:
-            try:
-                self._shm.close()
-                self._shm.unlink()
-            except Exception:
-                pass
-            self._shm = None
-
-    def close(self) -> None:
-        """Shut the pool down; further calls run serially."""
-        self._close_shm()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "FaultShardPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def fault_coverage(
     circuit: CompiledCircuit,
     patterns: Sequence[Dict[int, Optional[int]]],
     faults: List[Fault],
     batch_size: Optional[int] = None,
-    workers: int = 1,
 ) -> float:
     """Fraction of ``faults`` detected by ``patterns``.
 
     ``batch_size`` defaults to the backend's block width (64 patterns
     per lane); detection is a monotone OR over patterns, so the coverage
-    is chunking-invariant.  ``workers`` > 1 shards the fault list across
-    a process pool (:class:`FaultShardPool`); results are bit-identical
-    to the serial sweep for any worker count.
+    is chunking-invariant.
     """
     if not faults:
         raise ValueError("empty fault list")
@@ -1407,12 +978,11 @@ def fault_coverage(
         batch_size = 64 * circuit.block_lanes
     simulator = FaultSimulator(circuit)
     remaining = list(faults)
-    with FaultShardPool(circuit, faults, workers, simulator) as pool:
-        for start in range(0, len(patterns), batch_size):
-            batch = patterns[start:start + batch_size]
-            good, count = simulator.good_values(list(batch))
-            masks = pool.detect_masks(good, count, remaining)
-            remaining = [f for f, m in zip(remaining, masks) if not m]
-            if not remaining:
-                break
+    for start in range(0, len(patterns), batch_size):
+        batch = patterns[start:start + batch_size]
+        good, count = simulator.good_values(list(batch))
+        masks = simulator.detect_masks(good, count, remaining)
+        remaining = [f for f, m in zip(remaining, masks) if not m]
+        if not remaining:
+            break
     return 1.0 - len(remaining) / len(faults)

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..observability import get_tracer, register_counter
 from ..runtime.abort import get_abort
 from .compiled import CompiledCircuit
 from .faults import Fault
-from .faultsim import FaultShardPool, FaultSimulator
+from .faultsim import FaultSimulator
 from .patterns import TestPattern, random_pattern_rails, rows_from_rails
-from .streams import stream_rails
 
 RANDOM_BATCHES = register_counter(
     "random_phase.batches", "random-pattern batches simulated"
@@ -47,27 +46,17 @@ def run_random_phase(
     batch_size: int = 64,
     max_batches: int = 32,
     min_yield: int = 1,
-    stream: int = 1,
-    pool: Optional[FaultShardPool] = None,
 ) -> RandomPhaseResult:
     """Generate random patterns until they stop paying for themselves.
 
     Within each batch, only patterns that are the *first* detector of at
     least one remaining fault are kept, so the kept set carries no
     obviously redundant members.
-
-    ``stream`` selects the pattern-stream epoch
-    (:mod:`repro.atpg.streams`): 1 draws the legacy sequential Mersenne
-    stream, 2 the counter-based order-independent stream.  ``pool`` (a
-    :class:`~repro.atpg.faultsim.FaultShardPool` over exactly
-    ``faults``) optionally shards wide detect-mask sweeps along the
-    pattern axis — a pure execution detail, bit-identical to serial.
     """
     tracer = get_tracer()
     with tracer.span("random_phase"):
         result = _run_batches(
-            circuit, faults, seed, batch_size, max_batches, min_yield,
-            stream, pool,
+            circuit, faults, seed, batch_size, max_batches, min_yield
         )
         if tracer.enabled:
             tracer.count(RANDOM_BATCHES, result.batches)
@@ -83,15 +72,9 @@ def _run_batches(
     batch_size: int,
     max_batches: int,
     min_yield: int,
-    stream: int = 1,
-    pool: Optional[FaultShardPool] = None,
 ) -> RandomPhaseResult:
     simulator = FaultSimulator(circuit)
-    if stream == 2 and batch_size % 64:
-        raise ValueError(
-            f"stream-2 batches must be 64-aligned, got batch_size={batch_size}"
-        )
-    rng = random.Random(seed) if stream == 1 else None
+    rng = random.Random(seed)
     result = RandomPhaseResult(remaining_faults=list(faults))
     abort = get_abort()
     input_ids = circuit.input_ids
@@ -116,25 +99,9 @@ def _run_batches(
         # discarded; the rng is local, so the over-draw leaks nowhere.
         chunk_count = min(lanes, max_batches - result.batches)
         count = batch_size * chunk_count
-        if stream == 2:
-            # Counter stream: the window's bits depend only on the
-            # pattern indices it covers, never on draw history — the
-            # over-draw-and-discard of the wide path is literally free.
-            ones, zeros = stream_rails(
-                input_ids, seed, result.batches * batch_size, count,
-                circuit.net_count,
-            )
-        else:
-            ones, zeros = random_pattern_rails(
-                input_ids, rng, count, circuit.net_count
-            )
+        ones, zeros = random_pattern_rails(input_ids, rng, count, circuit.net_count)
         good, count = simulator.good_values_rails(ones, zeros, count)
-        if pool is not None and count >= 128:
-            masks = pool.detect_masks_patterns(
-                good, count, result.remaining_faults
-            )
-        else:
-            masks = simulator.detect_masks(good, count, result.remaining_faults)
+        masks = simulator.detect_masks(good, count, result.remaining_faults)
         pairs = list(zip(result.remaining_faults, masks))
         kept: List[int] = []
         stop = False

@@ -8,7 +8,7 @@ here, as ``add_*_arguments(parser)`` groups plus the matching
 
 =============================  ========================================
 :func:`add_runtime_arguments`  ``--workers --cache-dir --no-cache
-                               --backend --stream --trace --metrics
+                               --backend --trace --metrics
                                --deadline --retries --on-error
                                --run-dir --resume --profile``
                                (execution, shared by every
@@ -81,12 +81,6 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
              "or auto; every backend is bit-identical)",
     )
     parser.add_argument(
-        "--stream", type=int, choices=(1, 2), default=None,
-        help="pattern-stream epoch: 1 = legacy sequential draws "
-             "(default), 2 = counter-based order-independent stream "
-             "(changes the generated bits; part of the cache key)",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help="write a JSONL span/counter trace of the whole run to FILE",
     )
@@ -141,7 +135,6 @@ def runtime_from_args(args: argparse.Namespace, seed: Optional[int] = None) -> R
         run_dir=args.run_dir,
         resume=args.resume,
         backend=getattr(args, "backend", None),
-        stream=getattr(args, "stream", None),
     )
 
 

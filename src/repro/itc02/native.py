@@ -122,8 +122,10 @@ class NativeSocFile:
             )
             for module in self.modules
         ]
-        top = str(min(m.index for m in self.modules if m.level == 0))
-        return Soc(self.name, cores, top=top)
+        roots = [m.index for m in self.modules if m.level == 0]
+        if not roots:
+            raise NativeFormatError(f"{self.name}: no level-0 (top) module")
+        return Soc(self.name, cores, top=str(min(roots)))
 
 
 _MODULE_RE = re.compile(r"^module\s+(\d+)(?:\s+'([^']*)')?", re.IGNORECASE)
@@ -174,19 +176,23 @@ def parse_native(text: str) -> NativeSocFile:
         field_name = _match_key(key_lower, _MODULE_KEYS)
         if field_name == "scan_chains":
             # "ScanChains <count> [len len ...]" or "TotalScanChains <count>"
-            lengths = [int(v) for v in values[1:]] if len(values) > 1 else []
+            lengths = [_int([v], key, 0) for v in values[1:]]
             module.scan_chain_lengths = lengths
             if lengths:
                 module.scan_cells = sum(lengths)
             continue
         if field_name == "level":
             module.level = _int(values, key, 0)
+            if module.level < 0:
+                raise NativeFormatError(
+                    f"module {module.index}: Level must be >= 0, got {module.level}"
+                )
         elif field_name:
             setattr(module, field_name, _int(values, key, 0))
         elif key_lower.startswith("scanchain"):
             # "ScanChain <i> <length>" per-chain form.
             if len(values) >= 2:
-                length = int(values[1])
+                length = _int(values[1:], key, 0)
                 module.scan_chain_lengths.append(length)
                 module.scan_cells += length
         else:

@@ -53,12 +53,11 @@ class AtpgConfig:
     random_batches: int = 32
     compact: bool = True
     dynamic_compaction: int = 0
-    #: Pattern-stream epoch (see :mod:`repro.atpg.streams`).  ``1`` is
-    #: the legacy sequential draw order; ``2`` is the counter-based
-    #: order-independent stream.  Unlike ``backend``, the epoch changes
-    #: the generated bits, so it is part of the run identity: it enters
-    #: :meth:`fingerprint` (whenever != 1) and epochs never collide in
-    #: the cache.
+    #: Random-phase bit-stream epoch.  Only epoch ``1`` exists (one
+    #: ``random.Random(seed)`` draw sequence, see DESIGN.md §7), so any
+    #: other value is a :class:`ConfigError`.  The field stays so run
+    #: provenance can name the epoch; it is implicit in :meth:`to_dict`
+    #: and therefore never enters :meth:`fingerprint`.
     stream: int = 1
     #: Kernel backend request (``None`` = environment/auto).  Every
     #: backend is bit-identical to ``pure``, so this is an execution
@@ -93,25 +92,14 @@ class AtpgConfig:
             raise ConfigError(
                 f"dynamic_compaction must be >= 0, got {self.dynamic_compaction}"
             )
-        if self.stream not in (1, 2):
+        if self.stream != 1:
             raise ConfigError(
-                f"unknown pattern-stream epoch {self.stream!r}: choose 1 or 2"
+                f"unknown pattern-stream epoch {self.stream!r}: only 1 exists"
             )
 
     def with_seed(self, seed: int) -> "AtpgConfig":
         """The same configuration under a different seed."""
         return replace(self, seed=seed)
-
-    def engine_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for :func:`repro.atpg.engine.generate_tests`."""
-        return {
-            "seed": self.seed,
-            "backtrack_limit": self.backtrack_limit,
-            "random_batches": self.random_batches,
-            "compact": self.compact,
-            "dynamic_compaction": self.dynamic_compaction,
-            "stream": self.stream,
-        }
 
     def to_dict(self) -> Dict[str, Any]:
         data = {
@@ -121,11 +109,9 @@ class AtpgConfig:
             "compact": self.compact,
             "dynamic_compaction": self.dynamic_compaction,
         }
-        # The legacy epoch is implicit, so stream-1 dicts — and
-        # therefore every pre-epoch fingerprint and cached result —
-        # are byte-identical to before the field existed.
-        if self.stream != 1:
-            data["stream"] = self.stream
+        # ``stream`` is implicit (always 1), so serialized configs — and
+        # every fingerprint and cached result — are byte-identical to
+        # before the field existed.
         if self.backend is not None:
             data["backend"] = self.backend
         return data
@@ -147,10 +133,7 @@ class AtpgConfig:
 
         The kernel ``backend`` is deliberately excluded: backends are
         bit-identical, so results cached under one backend are valid —
-        and reused — under any other.  The pattern-stream epoch is
-        *included* (whenever it is not the implicit legacy ``1``):
-        epochs generate different bits, so their results must never
-        collide in the cache.
+        and reused — under any other.
         """
         data = self.to_dict()
         data.pop("backend", None)

@@ -221,11 +221,6 @@ class _WorkerPayload(NamedTuple):
     chaos: Optional[ChaosConfig]
     name: str
     attempt: int
-    # Fault-parallel fan-out inside the engine's verification phase.
-    # Only ever > 1 when the round has a single payload (run inline in
-    # the parent) — job-level and fault-level parallelism never compete
-    # for the same cores, and no pool is spawned from a pool worker.
-    workers: int = 1
 
 
 class _AttemptResult(NamedTuple):
@@ -275,15 +270,9 @@ def _execute(payload: _WorkerPayload, in_pool: bool = False) -> _AttemptResult:
                 payload.chaos.on_job_start(payload.name, payload.attempt, in_pool)
             if tracer is not None:
                 with use_tracer(tracer):
-                    result = generate_tests(
-                        payload.netlist,
-                        config=payload.config,
-                        workers=payload.workers,
-                    )
+                    result = generate_tests(payload.netlist, config=payload.config)
             else:
-                result = generate_tests(
-                    payload.netlist, config=payload.config, workers=payload.workers
-                )
+                result = generate_tests(payload.netlist, config=payload.config)
     except JobFailure as exc:
         error = exc
     seconds = time.perf_counter() - start
@@ -467,9 +456,6 @@ def _run_resilient(
                 chaos=policy.chaos if policy.chaos.enabled else None,
                 name=jobs[i].name,
                 attempt=attempts[i],
-                # A lone job cannot use job-level fan-out; hand the
-                # worker budget to the engine's fault-parallel verify.
-                workers=workers if len(active) == 1 else 1,
             )
             for i in active
         ]

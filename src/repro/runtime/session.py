@@ -90,7 +90,6 @@ class Runtime:
         run_dir: Optional[str] = None,
         resume: bool = False,
         backend: Optional[str] = None,
-        stream: Optional[int] = None,
     ) -> "Runtime":
         """Build a runtime from the shared CLI flags.
 
@@ -121,11 +120,6 @@ class Runtime:
             # AtpgConfig but excluded from its fingerprint — cache keys
             # and results are backend-invariant.
             resolved = replace(resolved, backend=backend)
-        if stream is not None:
-            # Pattern-stream epoch (--stream): unlike the backend this
-            # changes the generated bits, so it is part of run identity
-            # and enters the fingerprint (whenever != 1).
-            resolved = replace(resolved, stream=stream)
         tracer = None
         if trace or metrics:
             tracer = Tracer()

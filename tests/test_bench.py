@@ -1,9 +1,14 @@
 """Unit tests for the .bench reader/writer (repro.circuit.bench)."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.circuit import BenchFormatError, dump_bench, parse_bench
 from repro.circuit.bench import load_bench_file, save_bench_file
+from repro.errors import ReproError
+
+from .conftest import C17_BENCH
+from .text_edits import EDITS, apply_edits
 
 
 class TestParse:
@@ -89,3 +94,13 @@ class TestRoundTrip:
         again = parse_bench(dump_bench(netlist), "g")
         assert len(again.gates) == len(netlist.gates)
         assert len(again.flip_flops) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=EDITS)
+def test_edited_bench_raises_only_typed_errors(edits):
+    """1-4 character edits of c17 parse or raise a ReproError."""
+    try:
+        parse_bench(apply_edits(C17_BENCH, edits), "c17")
+    except ReproError:
+        pass

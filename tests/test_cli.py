@@ -172,9 +172,18 @@ class TestErrorsAreOneLine:
         "    Patterns 10\nEnd\n"
     )
 
+    # Native ITC'02 files the reader used to leak a bare ValueError on.
+    NATIVE = "SocName bad\nModule 0 'top'\n    Level {level}\n    {line}\n"
+    NATIVE_CHAINS = NATIVE.format(level=0, line="ScanChains 2 10 1x")
+    NATIVE_CHAIN = NATIVE.format(level=0, line="ScanChain 0 6x")
+    NATIVE_LEVEL = NATIVE.format(level=-1, line="Inputs 4")
+
     @pytest.mark.parametrize("text,message", [
         (UNDEFINED_EMBED, "embeds unknown core 'ghost'"),
         (BAD_INTEGER, "line 4: expected an integer, got 'x'"),
+        (NATIVE_CHAINS, "ScanChains: expected an integer, got '1x'"),
+        (NATIVE_CHAIN, "ScanChain: expected an integer, got '6x'"),
+        (NATIVE_LEVEL, "module 0: Level must be >= 0, got -1"),
     ])
     def test_bad_soc_file(self, tmp_path, text, message):
         path = tmp_path / "bad.soc"

@@ -14,10 +14,16 @@ from repro.atpg import (
     CompiledCircuit,
     Fault,
     FaultSimulator,
+    collapse_faults,
     fault_coverage,
     full_fault_universe,
+    generate_tests,
 )
+from repro.atpg.backends import numpy_available
 from repro.circuit import Netlist
+from repro.circuit.gates import GateType
+from repro.runtime.config import AtpgConfig
+from repro.synth import GeneratorSpec, generate_circuit
 
 
 def reference_detects(
@@ -150,3 +156,109 @@ class TestDropAndCoverage:
         circuit = CompiledCircuit(c17)
         with pytest.raises(ValueError):
             fault_coverage(circuit, [], [])
+
+
+# -- exhaustive oracle: every input vector of small circuits -----------------
+
+DAG_GATES = (
+    GateType.AND, GateType.OR, GateType.NAND, GateType.NOR, GateType.XOR,
+    GateType.NOT,
+)
+
+BACKENDS = [
+    "pure",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(not numpy_available(), reason="numpy masked"),
+    ),
+]
+
+
+def random_dag(seed: int) -> Netlist:
+    """A random gate DAG: 3-6 inputs, 12-18 gates over earlier nets.
+
+    Every gate that no other gate reads is an output.  Reconvergent
+    fanout and unread inputs leave redundant (untestable) faults, which
+    ``generate_circuit``'s cones almost never have.
+    """
+    rng = random.Random(seed)
+    netlist = Netlist(f"dag{seed}")
+    nets = [f"i{k}" for k in range(rng.randint(3, 6))]
+    for net in nets:
+        netlist.add_input(net)
+    read = set()
+    for k in range(rng.randint(12, 18)):
+        gate_type = rng.choice(DAG_GATES)
+        arity = 1 if gate_type is GateType.NOT else rng.randint(2, 3)
+        inputs = rng.sample(nets, arity)
+        netlist.add_gate(gate_type, f"g{k}", inputs)
+        read.update(inputs)
+        nets.append(f"g{k}")
+    for gate in netlist.gates:
+        if gate.output not in read:
+            netlist.mark_output(gate.output)
+    netlist.validate()
+    return netlist
+
+
+def oracle_netlists():
+    """Ten random DAGs plus four generator circuits, <= 6 scan inputs."""
+    netlists = [random_dag(seed) for seed in range(10)]
+    for seed in range(4):
+        netlists.append(generate_circuit(GeneratorSpec(
+            name=f"gen{seed}", inputs=3 + seed % 3, outputs=2,
+            flip_flops=seed % 2, target_gates=25, max_cone_width=8,
+            overlap=1.0, xor_fraction=0.3, seed=seed,
+        )))
+    return netlists
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(netlist, collapsed faults, all input vectors, reference masks)."""
+    cases = []
+    for netlist in oracle_netlists():
+        circuit = CompiledCircuit(netlist, backend="pure")
+        faults = collapse_faults(circuit)
+        names = [circuit.net_names[n] for n in circuit.input_ids]
+        vectors = list(itertools.product((0, 1), repeat=len(names)))
+        masks = []
+        for fault in faults:
+            mask = 0
+            for bit, vector in enumerate(vectors):
+                if reference_detects(netlist, circuit, fault, dict(zip(names, vector))):
+                    mask |= 1 << bit
+            masks.append(mask)
+        cases.append((netlist, faults, vectors, masks))
+    return cases
+
+
+class TestExhaustiveOracle:
+    def test_cases_include_untestable_faults(self, oracle_cases):
+        untestable = sum(
+            1 for *_, masks in oracle_cases for mask in masks if not mask
+        )
+        assert untestable > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_detect_masks_match_reference(self, oracle_cases, backend):
+        for netlist, faults, vectors, reference in oracle_cases:
+            circuit = CompiledCircuit(netlist, backend=backend)
+            assert collapse_faults(circuit) == faults
+            simulator = FaultSimulator(circuit)
+            patterns = [dict(zip(circuit.input_ids, vector)) for vector in vectors]
+            good, count = simulator.good_values(patterns)
+            assert simulator.detect_masks(good, count, faults) == reference, (
+                netlist.name
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_engine_verdicts_match_reference(self, oracle_cases, backend):
+        for netlist, faults, _, reference in oracle_cases:
+            result = generate_tests(netlist, config=AtpgConfig(backend=backend))
+            never_detected = {
+                fault for fault, mask in zip(faults, reference) if not mask
+            }
+            assert set(result.untestable) == never_detected, netlist.name
+            assert result.detected_count == len(faults) - len(never_detected)
+            assert result.aborted == []

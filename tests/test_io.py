@@ -1,11 +1,19 @@
 """Tests for the public repro.io loaders (and their format sniffing)."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
 
 import repro
 from repro.circuit import dump_bench
+from repro.errors import ReproError
 from repro.io import load_netlist, load_soc
 from tests.conftest import C17_BENCH
+from tests.test_itc02_format import A586710
+from tests.test_native_format import SAMPLE as NATIVE_SAMPLE
+from tests.text_edits import EDITS, apply_edits
 
 
 class TestLoadNetlist:
@@ -64,6 +72,24 @@ class TestLoadSoc:
         soc = load_soc(path)
         assert soc.name == "mini2"
         assert [core.name for core in soc.cores] == ["a"]
+
+
+@pytest.mark.parametrize("text", [NATIVE_SAMPLE, A586710], ids=["native", "soc"])
+@settings(max_examples=150, deadline=None)
+@given(edits=EDITS)
+def test_edited_soc_file_loads_or_raises_typed_error(text, edits):
+    """1-4 character edits of either dialect load or raise a ReproError.
+
+    An edit can also break the ``SocName`` header, so the sniffing
+    itself is part of what is fuzzed.
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "edited.soc"
+        path.write_text(apply_edits(text, edits))
+        try:
+            load_soc(path)
+        except ReproError:
+            pass
 
 
 class TestTopLevelExports:

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.itc02 import SocFormatError, dump_soc, parse_soc
 from repro.itc02.format import SocFile, load_soc_file, save_soc_file
 from repro.soc import Core, Soc
+
+from .text_edits import EDITS, apply_edits
 
 SAMPLE = """
 # a tiny SOC
@@ -144,28 +145,11 @@ A586710 = (
     Path(__file__).resolve().parents[1] / "src/repro/itc02/data/a586710.soc"
 ).read_text()
 
-#: One edit: (position as a fraction of the text, kind, character).
-EDIT = st.tuples(
-    st.floats(0, 1, exclude_max=True),
-    st.sampled_from(["insert", "delete", "replace"]),
-    st.sampled_from(list("0123456789 -#\nabxCEIOPST")),
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(edits=st.lists(EDIT, min_size=1, max_size=4))
+@given(edits=EDITS)
 def test_edited_soc_raises_only_typed_errors(edits):
     """1-4 character edits of a shipped file parse or raise a ReproError."""
-    text = A586710
-    for where, kind, char in edits:
-        at = int(where * len(text))
-        if kind == "insert":
-            text = text[:at] + char + text[at:]
-        elif kind == "delete":
-            text = text[:at] + text[at + 1:]
-        else:
-            text = text[:at] + char + text[at + 1:]
     try:
-        parse_soc(text)
+        parse_soc(apply_edits(A586710, edits))
     except ReproError:
         pass

@@ -1,13 +1,19 @@
 """Unit tests for the native ITC'02 dialect reader (repro.itc02.native)."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.core import summarize
+from repro.errors import ReproError
 from repro.itc02.native import (
     NativeFormatError,
+    NativeModule,
+    NativeSocFile,
     native_to_soc,
     parse_native,
 )
+
+from .text_edits import EDITS, apply_edits
 
 SAMPLE = """
 # native-style file with a two-level hierarchy
@@ -102,6 +108,15 @@ class TestParse:
         with pytest.raises(NativeFormatError, match="integer"):
             parse_native("SocName s\nModule 0\nInputs many\n")
 
+    @pytest.mark.parametrize("line", ["ScanChains 2 10 1x", "ScanChain 0 6x"])
+    def test_bad_chain_length_rejected(self, line):
+        with pytest.raises(NativeFormatError, match="expected an integer"):
+            parse_native(f"SocName s\nModule 0\nLevel 0\n{line}\n")
+
+    def test_negative_level_rejected(self):
+        with pytest.raises(NativeFormatError, match="Level must be >= 0"):
+            parse_native("SocName s\nModule 0\nLevel -1\n")
+
 
 class TestHierarchy:
     def test_level_nesting(self):
@@ -117,6 +132,11 @@ class TestHierarchy:
         with pytest.raises(NativeFormatError, match="no preceding"):
             parse_native(text).to_soc()
 
+    def test_no_top_module_rejected(self):
+        parsed = NativeSocFile("s", [NativeModule(index=0, level=-1)])
+        with pytest.raises(NativeFormatError, match="no level-0"):
+            parsed.to_soc()
+
     def test_converted_soc_analyzes(self):
         soc = native_to_soc(SAMPLE)
         summary = summarize(soc)
@@ -129,3 +149,13 @@ class TestHierarchy:
         soc = native_to_soc(SAMPLE)
         again = parse_soc(dump_soc(soc)).soc
         assert summarize(again).tdv_modular == summarize(soc).tdv_modular
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=EDITS)
+def test_edited_native_raises_only_typed_errors(edits):
+    """1-4 character edits of SAMPLE convert or raise a ReproError."""
+    try:
+        native_to_soc(apply_edits(SAMPLE, edits))
+    except ReproError:
+        pass

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.atpg import CompiledCircuit, generate_tests
-from repro.atpg import streams
 from repro.atpg.fill import FILL_STRATEGIES, fill_pattern
 from repro.atpg.patterns import (
     TestPattern,
@@ -143,7 +142,6 @@ def test_row_fills_to_itself_without_draws():
     for strategy in FILL_STRATEGIES:
         filled = fill_pattern(row, input_ids, strategy, rng)
         assert filled == row and filled.row == row.row
-    assert streams.fill_pattern(row, input_ids, seed=3, pattern_index=9) == row
     assert rng.getstate() == state
 
 
@@ -182,17 +180,6 @@ def test_constant_and_adjacent_fill_rows():
     assert fill_pattern(pattern, input_ids, "zero").row == "010000"
     assert fill_pattern(pattern, input_ids, "one").row == "111101"
     assert fill_pattern(pattern, input_ids, "adjacent").row == "011100"
-
-
-def test_stream2_partial_fill_is_a_row_with_the_keyed_bits():
-    input_ids = list(range(150))
-    pattern = TestPattern({3: 1, 70: 0, 149: 1})
-    filled = streams.fill_pattern(pattern, input_ids, seed=5, pattern_index=2)
-    assert filled.row is not None
-    for pos, net_id in enumerate(input_ids):
-        word = streams.stream_word(5, 2, pos >> 6, streams.DOMAIN_FILL)
-        want = pattern.assignments.get(net_id, (word >> (pos & 63)) & 1)
-        assert filled.assignments[net_id] == want
 
 
 # -- codec --------------------------------------------------------------------

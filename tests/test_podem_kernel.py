@@ -14,9 +14,7 @@ implementation on randomized circuits:
   packed simulation of the same patterns;
 * :meth:`FaultSimulator.detect_masks` (batched, with the fanout-free
   region fast path for fully specified batches) against single-fault
-  :meth:`detect_mask`;
-* :class:`FaultShardPool` / ``workers`` (fault-parallel verification)
-  against the serial sweep.
+  :meth:`detect_mask`.
 """
 
 import random
@@ -28,14 +26,11 @@ from hypothesis import strategies as st
 from repro.atpg import (
     CompiledCircuit,
     Fault,
-    FaultShardPool,
     FaultSimulator,
     Podem,
     PodemOutcome,
     collapse_faults,
-    fault_coverage,
     full_fault_universe,
-    generate_tests,
 )
 from repro.atpg import patterns as patterns_module
 from repro.atpg.engine import _PatternBlock
@@ -286,48 +281,3 @@ class TestDetectMasksBatch:
             assert mask == simulator.detect_mask(good, count, fault), (
                 fault.describe(circuit)
             )
-
-
-class TestFaultParallel:
-    def test_shard_pool_masks_match_serial(self):
-        circuit = make_circuit(6)
-        rng = random.Random(1300)
-        patterns = [
-            {n: rng.getrandbits(1) for n in circuit.input_ids}
-            for _ in range(40)
-        ]
-        simulator = FaultSimulator(circuit)
-        good, count = simulator.good_values(patterns)
-        faults = full_fault_universe(circuit)
-        serial = simulator.detect_masks(good, count, faults)
-        # min_shard=1 forces the real process pool even on small inputs.
-        with FaultShardPool(
-            circuit, faults, workers=2, simulator=simulator, min_shard=1
-        ) as pool:
-            sharded = pool.detect_masks(good, count, faults)
-        assert sharded == serial
-
-    def test_generate_tests_workers_bit_identical(self):
-        netlist = generate_circuit(
-            GeneratorSpec(name="pk_workers", inputs=8, outputs=4,
-                          flip_flops=5, target_gates=130, seed=11)
-        )
-        serial = generate_tests(netlist, seed=3, workers=1)
-        parallel = generate_tests(netlist, seed=3, workers=2)
-        assert serial.pattern_count == parallel.pattern_count
-        assert serial.fault_coverage == parallel.fault_coverage
-        assert [p.assignments for p in serial.test_set.patterns] == [
-            p.assignments for p in parallel.test_set.patterns
-        ]
-
-    def test_fault_coverage_workers_bit_identical(self):
-        circuit = make_circuit(8, gates=110)
-        rng = random.Random(1500)
-        patterns = [
-            {n: rng.getrandbits(1) for n in circuit.input_ids}
-            for _ in range(30)
-        ]
-        faults = collapse_faults(circuit, full_fault_universe(circuit))
-        serial = fault_coverage(circuit, patterns, faults, workers=1)
-        parallel = fault_coverage(circuit, patterns, faults, workers=2)
-        assert serial == parallel

@@ -20,6 +20,12 @@ from repro.runtime import (
 )
 from repro.synth import GeneratorSpec, generate_circuit
 
+#: Committed fingerprints: the default (stream-1) config must hash to
+#: what it hashed to before the epoch knob existed, forever.
+STREAM1_DEFAULT_FINGERPRINT = (
+    "6b89579a65f761b4647d47f396ea454b4661b2ca07d958fcd95b48b41b90da2e"
+)
+
 
 @pytest.fixture(scope="module")
 def netlist():
@@ -84,6 +90,22 @@ class TestAtpgConfig:
             AtpgConfig(random_batches=-1)
         with pytest.raises(ValueError):
             AtpgConfig(dynamic_compaction=-1)
+
+    def test_stream1_fingerprint_is_frozen(self):
+        assert AtpgConfig().fingerprint() == STREAM1_DEFAULT_FINGERPRINT
+        assert AtpgConfig(stream=1).fingerprint() == STREAM1_DEFAULT_FINGERPRINT
+
+    def test_stream1_dict_is_byte_stable(self):
+        # Stream 1 is implicit: serialized configs are identical to the
+        # pre-epoch format, so every cached fingerprint stays valid.
+        assert "stream" not in AtpgConfig().to_dict()
+
+    def test_stream_other_than_1_rejected(self):
+        for bad in (2, 3):
+            with pytest.raises(ConfigError, match="pattern-stream epoch"):
+                AtpgConfig(stream=bad)
+        with pytest.raises(ConfigError, match="pattern-stream epoch"):
+            AtpgConfig.from_dict({"stream": 2})
 
     @pytest.mark.parametrize("kwargs", [
         {"backtrack_limit": "5"},

@@ -1,6 +1,7 @@
 """Unit tests for the structural Verilog subset (repro.circuit.verilog)."""
 
 import pytest
+from hypothesis import given, settings
 
 from repro.circuit import dump_bench, parse_bench
 from repro.circuit.verilog import (
@@ -10,7 +11,10 @@ from repro.circuit.verilog import (
     parse_verilog,
     save_verilog_file,
 )
+from repro.errors import ReproError
 from repro.synth import GeneratorSpec, generate_circuit
+
+from .text_edits import EDITS, apply_edits
 
 SAMPLE = """
 // a tiny sequential module
@@ -123,3 +127,13 @@ class TestRoundTrip:
         text = dump_verilog(netlist)
         assert "module weird_name_1 " in text
         parse_verilog(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=EDITS)
+def test_edited_verilog_raises_only_typed_errors(edits):
+    """1-4 character edits of SAMPLE parse or raise a ReproError."""
+    try:
+        parse_verilog(apply_edits(SAMPLE, edits))
+    except ReproError:
+        pass
