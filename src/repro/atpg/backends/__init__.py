@@ -2,10 +2,10 @@
 
 A *backend* is a strategy object attached to each
 :class:`~repro.atpg.compiled.CompiledCircuit` at build time.  It
-decides how wide the engine packs pattern blocks (``lanes_for``) and
-may accelerate whole kernel stages with vectorized array code — today
-the fanout-free-region detect-mask algebra and the level-dispatched
-logic simulation of the ``numpy`` backend.  Every backend is
+decides how wide the engine packs pattern blocks (``lanes_for``): the
+``numpy`` backend widens them to up to eight 64-bit words on larger
+circuits, while the fault-simulation kernels themselves are the same
+scalar code on every backend.  Every backend is
 **bit-identical by construction** to the ``pure`` path: pattern
 counts, fault coverage, detect masks, and cache fingerprints never
 depend on the backend (``tests/test_backends.py`` enforces this

@@ -119,6 +119,7 @@ class CompiledCircuit:
         self._build_flat_view()
         self._cone_cache: Dict[int, List[int]] = {}
         self._ffr: Optional[Tuple[List[int], List[int]]] = None
+        self._reconvergent: Optional[List[bool]] = None
         self.block_lanes: int = self.backend.lanes_for(self)
 
     def _build_flat_view(self) -> None:
@@ -251,6 +252,54 @@ class CompiledCircuit:
                     root[net_id] = root[gate_out[gate_index]]
             self._ffr = (root, load)
         return self._ffr
+
+    def reconvergent_roots(self) -> List[bool]:
+        """Per-net flags: region roots whose fanout branches reconverge.
+
+        A root is *reconvergent* when it is not a (pseudo-)primary
+        output, reaches one, and two of its load pins reach a common
+        region root — equivalently, two branch fanout cones share a
+        gate whose output reaches an output (two pins on one gate
+        count).  Only observable loads matter: a root's *children* are
+        the roots ``ffr_root[gate_out[g]]`` of its load gates ``g``
+        whose output reaches an output.
+
+        For every other observable root the branches' cones are
+        disjoint, so a flip of the root reaches an output exactly where
+        a flip of one of its branches does; the fault simulator ORs
+        branch observabilities there and runs an event chase only at
+        the flagged roots.  One descending pass over net ids (children
+        have higher ids) builds each root's descendant-root set as a
+        bitset over root ordinals; the sets are dropped afterwards.
+        Memoized per circuit, like :meth:`ffr_view`.
+        """
+        if self._reconvergent is None:
+            ffr_root, ffr_load = self.ffr_view()
+            reaches = self.reaches_output
+            is_out = self.is_output_flag
+            fan_start = self.fanout_start
+            fan_gates = self.fanout_gates
+            gate_out = self.gate_out
+            flags = [False] * self.net_count
+            ordinal = [-1] * self.net_count
+            below: List[int] = []  # descendant-root bitset per ordinal
+            for net_id in range(self.net_count - 1, -1, -1):
+                if ffr_load[net_id] >= 0 or not reaches[net_id]:
+                    continue
+                seen = 0
+                shared = False
+                for k in range(fan_start[net_id], fan_start[net_id + 1]):
+                    out = gate_out[fan_gates[k]]
+                    if reaches[out]:
+                        child = below[ordinal[ffr_root[out]]]
+                        if seen & child:
+                            shared = True
+                        seen |= child
+                ordinal[net_id] = len(below)
+                below.append(seen | (1 << len(below)))
+                flags[net_id] = shared and not is_out[net_id]
+            self._reconvergent = flags
+        return self._reconvergent
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress, count
 from typing import Deque, Dict, List, Optional
 
 from ..circuit.cones import Cone, extract_cones
@@ -23,7 +22,7 @@ from .compaction import static_compact
 from .compiled import CompiledCircuit
 from .faults import Fault, collapse_faults
 from .faultsim import FaultSimulator, publish_kernel_stats, sim_stats
-from .logicsim import RailBatch, pack_patterns_flat, simulate_flat_sparse
+from .logicsim import RailBatch, append_pattern_sparse
 from .patterns import TestPattern, TestSet, pack_rows
 from .podem import Podem, PodemOutcome
 from .random_phase import run_random_phase
@@ -82,18 +81,20 @@ class AtpgResult:
 
 
 class _PatternBlock:
-    """Up to 64 recent patterns packed into one fault-dropping word.
+    """Recent patterns packed into one fault-dropping block.
 
     The deterministic phase used to fault-simulate every queued fault
     against each fresh PODEM pattern individually.  This block instead
-    accumulates the good-machine rails of successive patterns into one
-    packed word (each pattern is simulated once at width 1 and OR-merged
-    into its own bit column — bit slices are independent, so the merge
-    equals simulating the patterns together).  Queued faults are then
-    checked lazily: once when popped, and against the whole word when
-    the block fills and :meth:`flush` filters the queue in a single
-    64-wide pass.  The surviving faults, their order, and every PODEM
-    call are bit-identical to the one-pattern-at-a-time flow.
+    accumulates the good-machine rails of successive patterns in one
+    packed batch: each pattern is simulated straight into its own bit
+    column, in place, by a sparse sweep at block width from its care
+    bits (:func:`~repro.atpg.logicsim.append_pattern_sparse`; bit
+    slices are independent, so this equals simulating the patterns
+    together).  Queued faults are then checked lazily: once when
+    popped, and against the whole block when it fills and
+    :meth:`flush` filters the queue in a single block-wide pass.  The
+    surviving faults, their order, and every PODEM call are
+    bit-identical to the one-pattern-at-a-time flow.
     """
 
     CAPACITY = 64
@@ -119,24 +120,14 @@ class _PatternBlock:
         return self.count >= self.capacity
 
     def add(self, pattern: TestPattern) -> None:
-        """Simulate one (partial) pattern and merge it into the block."""
-        circuit = self._circuit
-        ones, zeros = pack_patterns_flat(circuit, [pattern.assignments])
-        # PODEM patterns specify a narrow cone of care bits; the sparse
-        # sweep touches only the gates that cone reaches.
-        simulate_flat_sparse(circuit, ones, zeros, 1)
+        """Simulate one (partial) pattern into the block's next bit."""
         if self.count == 0:
-            self.ones = ones
-            self.zeros = zeros
-        else:
-            # At width 1 each rail entry is 0 or 1, so compress() yields
-            # exactly the nets the sweep left non-X on that rail.
-            bit = 1 << self.count
-            block_ones, block_zeros = self.ones, self.zeros
-            for net_id in compress(count(), ones):
-                block_ones[net_id] |= bit
-            for net_id in compress(count(), zeros):
-                block_zeros[net_id] |= bit
+            net_count = self._circuit.net_count
+            self.ones = [0] * net_count
+            self.zeros = [0] * net_count
+        append_pattern_sparse(
+            self._circuit, self.ones, self.zeros, pattern.assignments, self.count
+        )
         self.count += 1
 
     def detects(self, fault: Fault) -> bool:

@@ -112,14 +112,12 @@ class FaultSimulator:
         self._buckets: List[List[int]] = [[] for _ in range(circuit.max_level + 1)]
         self._epoch = 0
         # Fanout-free-region scratch for fully specified batches:
-        # per-net path-sensitization memo and per-root observability
-        # memo (one per stuck polarity), each stamped per batch.
+        # per-net path-sensitization memo and per-root flip-observability
+        # memo, each stamped per batch.
         self._sens_val = [0] * net_count
         self._sens_stamp = [0] * net_count
-        self._obs0 = [0] * net_count
-        self._obs1 = [0] * net_count
-        self._obs0_stamp = [0] * net_count
-        self._obs1_stamp = [0] * net_count
+        self._flip_val = [0] * net_count
+        self._flip_stamp = [0] * net_count
         self._ffr_epoch = 0
 
     def good_values(
@@ -205,6 +203,54 @@ class FaultSimulator:
         SIM_STATS["fault_pattern_evals"] += pattern_count
 
         reaches = circuit.reaches_output
+        self._epoch += 1
+        stuck_ones, stuck_zeros = (full, 0) if fault.stuck_at else (0, full)
+
+        # -- the faulty rails of the fault site -------------------------
+        if fault.gate_index is not None:
+            seed_gate = fault.gate_index
+            op, seed_net, ins = circuit.gate_table[seed_gate]
+            if not reaches[seed_net]:
+                return 0
+            inputs = [(g_ones[i], g_zeros[i]) for i in ins]
+            inputs[fault.pin] = (stuck_ones, stuck_zeros)
+            o, z = eval_rail_op(op, inputs, full)
+            if o == g_ones[seed_net] and z == g_zeros[seed_net]:
+                return 0
+            # Never re-evaluate the faulty gate.
+            self._gate_stamp[seed_gate] = self._epoch
+        else:
+            seed_net = fault.net
+            if not reaches[seed_net]:
+                return 0
+            if g_ones[seed_net] == stuck_ones and g_zeros[seed_net] == stuck_zeros:
+                return 0
+            o, z = stuck_ones, stuck_zeros
+        return self._sweep(g_ones, g_zeros, full, seed_net, o, z, collect)
+
+    def _sweep(
+        self,
+        g_ones: List[int],
+        g_zeros: List[int],
+        full: int,
+        seed_net: int,
+        o: int,
+        z: int,
+        collect: Optional[List[int]],
+    ) -> int:
+        """Chase faulty rails ``(o, z)`` on ``seed_net``; the detect mask.
+
+        The levelized event sweep behind every single-site chase: a
+        fault (:meth:`_propagate`) or a region-root flip
+        (:meth:`_chase_flip`).  It runs under the caller's current
+        epoch, so gates the caller stamped (a branch fault's faulty
+        gate) are never re-evaluated.  With ``collect`` given, every
+        faulty output net id is appended to it and the full-detection
+        early exit is disabled.  Gate evaluations land in
+        ``SIM_STATS``; detect and pattern totals are the caller's.
+        """
+        circuit = self.circuit
+        reaches = circuit.reaches_output
         is_out = circuit.is_output_flag
         gate_table = circuit.gate_table
         gate_out = circuit.gate_out
@@ -214,30 +260,8 @@ class FaultSimulator:
         f_ones, f_zeros = self._f_ones, self._f_zeros
         net_stamp, gate_stamp = self._net_stamp, self._gate_stamp
         buckets = self._buckets
-        self._epoch += 1
         epoch = self._epoch
 
-        stuck_ones, stuck_zeros = (full, 0) if fault.stuck_at else (0, full)
-
-        # -- seed the worklist with the fault site ----------------------
-        if fault.gate_index is not None:
-            seed_gate = fault.gate_index
-            op, seed_net, ins = gate_table[seed_gate]
-            if not reaches[seed_net]:
-                return 0
-            inputs = [(g_ones[i], g_zeros[i]) for i in ins]
-            inputs[fault.pin] = (stuck_ones, stuck_zeros)
-            o, z = eval_rail_op(op, inputs, full)
-            if o == g_ones[seed_net] and z == g_zeros[seed_net]:
-                return 0
-            gate_stamp[seed_gate] = epoch  # never re-evaluate the faulty gate
-        else:
-            seed_net = fault.net
-            if not reaches[seed_net]:
-                return 0
-            if g_ones[seed_net] == stuck_ones and g_zeros[seed_net] == stuck_zeros:
-                return 0
-            o, z = stuck_ones, stuck_zeros
         f_ones[seed_net] = o
         f_zeros[seed_net] = z
         net_stamp[seed_net] = epoch
@@ -383,20 +407,11 @@ class FaultSimulator:
         # implies — all gate functions preserve definedness — no X
         # anywhere) take the fanout-free-region fast path: per-fault
         # event chases collapse to local path-sensitization algebra
-        # plus at most one memoized chase per region root and polarity.
+        # plus one memoized flip observability per region root.
         for i in circuit.input_ids:
             if (g_ones[i] | g_zeros[i]) != full:
                 break
         else:
-            # The circuit's kernel backend may take the whole X-free
-            # call as one vectorized pass (numpy); a None return means
-            # "not worth it here" and the scalar path below runs.
-            # Either way the masks are bit-identical.
-            masks = circuit.backend.ffr_detect_masks(
-                self, g_ones, g_zeros, full, pattern_count, faults
-            )
-            if masks is not None:
-                return masks
             return self._ffr_detect_masks(
                 g_ones, g_zeros, full, pattern_count, faults
             )
@@ -621,25 +636,25 @@ class FaultSimulator:
           the path is side-sensitized (AND/NAND siblings all 1, OR/NOR
           siblings all 0; BUF/NOT/XOR/XNOR always pass a flip);
         * beyond the root, a pattern's response depends only on whether
-          the root flipped, which is the root's *stem* behavior — one
-          event chase per (root, polarity), shared by every fault in
-          the region and memoized per batch.
+          the root flipped: the root's *flip observability*
+          (:meth:`_root_flip`), shared by every fault in the region and
+          memoized per batch.  A stem fault at a root is the root
+          flipped wherever it is excited.
 
         Detect masks are bit-identical to the event kernel (the
         differential kernel tests enforce it); only the work changes,
-        from one chase per fault to one per live region root.
+        from one chase per fault to one per live reconvergent root.
         """
         circuit = self.circuit
-        ffr_root, ffr_load = circuit.ffr_view()
+        ffr_root = circuit.ffr_view()[0]
         reaches = circuit.reaches_output
         gate_table = circuit.gate_table
-        gate_out = circuit.gate_out
-        chase = self._chase_stem
         self._ffr_epoch += 1
         ep = self._ffr_epoch
         sens_val, sens_stamp = self._sens_val, self._sens_stamp
-        obs0, obs1 = self._obs0, self._obs1
-        obs0_stamp, obs1_stamp = self._obs0_stamp, self._obs1_stamp
+        flip_val, flip_stamp = self._flip_val, self._flip_stamp
+        sens_chain = self._sens_chain
+        root_flip = self._root_flip
 
         masks: List[int] = []
         append_mask = masks.append
@@ -655,254 +670,175 @@ class FaultSimulator:
             mask = g_ones[net] if fault.stuck_at == 0 else g_zeros[net]
             gate_index = fault.gate_index
             if gate_index is None:
-                if ffr_load[net] < 0:
-                    # Stem at a region root: the chase itself is the
-                    # exact answer (excitation is its seed guard).
-                    if fault.stuck_at:
-                        if obs1_stamp[net] != ep:
-                            obs1[net] = chase(g_ones, g_zeros, full, net, full, 0)
-                            obs1_stamp[net] = ep
-                        append_mask(obs1[net])
-                    else:
-                        if obs0_stamp[net] != ep:
-                            obs0[net] = chase(g_ones, g_zeros, full, net, 0, full)
-                            obs0_stamp[net] = ep
-                        append_mask(obs0[net])
-                    continue
                 start = net
             else:
                 # Branch fault: the flip is visible at the gate output
-                # iff excited and this pin is side-sensitized.
-                op, out_net, ins = gate_table[gate_index]
-                pin = fault.pin
+                # iff excited and this pin is side-sensitized (AND/NAND
+                # siblings all 1, OR/NOR siblings all 0).
+                op, start, ins = gate_table[gate_index]
                 if OP_AND <= op <= OP_NOR:
-                    if op <= OP_NAND:  # AND / NAND
-                        for p, i in enumerate(ins):
-                            if p != pin:
-                                mask &= g_ones[i]
-                    else:  # OR / NOR
-                        for p, i in enumerate(ins):
-                            if p != pin:
-                                mask &= g_zeros[i]
-                start = out_net
+                    side = g_ones if op <= OP_NAND else g_zeros
+                    pin = fault.pin
+                    for p, i in enumerate(ins):
+                        if p != pin:
+                            mask &= side[i]
             if not mask:
                 append_mask(0)
                 continue
-            # Side-sensitization from ``start`` to its region root,
-            # memoized per net: walk the unmemoized chain suffix, then
-            # fold values back down in chain order.
             if sens_stamp[start] != ep:
-                chain: List[int] = []
-                n = start
-                while sens_stamp[n] != ep:
-                    gate_index = ffr_load[n]
-                    if gate_index < 0:
-                        sens_val[n] = full
-                        sens_stamp[n] = ep
-                        break
-                    chain.append(n)
-                    n = gate_out[gate_index]
-                for n in reversed(chain):
-                    gate_index = ffr_load[n]
-                    op, out_net, ins = gate_table[gate_index]
-                    acc = sens_val[out_net]
-                    if acc:
-                        if OP_AND <= op <= OP_NOR:
-                            # Single-load nets appear on exactly one
-                            # pin, so exclusion by net id is exact.
-                            if op <= OP_NAND:
-                                for i in ins:
-                                    if i != n:
-                                        acc &= g_ones[i]
-                            else:
-                                for i in ins:
-                                    if i != n:
-                                        acc &= g_zeros[i]
-                    sens_val[n] = acc
-                    sens_stamp[n] = ep
+                sens_chain(g_ones, g_zeros, full, start)
             mask &= sens_val[start]
             if not mask:
                 append_mask(0)
                 continue
-            # Root observability: patterns where flipping the root is
-            # seen at an output.  The two polarity chases have disjoint
-            # supports (each detects only where the good value differs
-            # from its stuck value), so their union is the exact
-            # per-pattern flip observability.
             root = ffr_root[start]
-            if obs0_stamp[root] != ep:
-                obs0[root] = chase(g_ones, g_zeros, full, root, 0, full)
-                obs0_stamp[root] = ep
-            if obs1_stamp[root] != ep:
-                obs1[root] = chase(g_ones, g_zeros, full, root, full, 0)
-                obs1_stamp[root] = ep
-            append_mask(mask & (obs0[root] | obs1[root]))
+            if flip_stamp[root] != ep:
+                root_flip(g_ones, g_zeros, full, root)
+            append_mask(mask & flip_val[root])
 
         SIM_STATS["detect_calls"] += fault_count
         SIM_STATS["fault_pattern_evals"] += fault_count * pattern_count
         return masks
+
+    def _sens_chain(
+        self, g_ones: List[int], g_zeros: List[int], full: int, start: int
+    ) -> None:
+        """Memoize side-sensitization from ``start`` to its region root.
+
+        Walks the unmemoized chain suffix up to the first memoized net
+        (or the root, trivially sensitized), then folds values back
+        down in chain order: each net ANDs its load gate's output value
+        with its pin's side-sensitization.
+        """
+        circuit = self.circuit
+        ffr_load = circuit.ffr_view()[1]
+        gate_table = circuit.gate_table
+        gate_out = circuit.gate_out
+        ep = self._ffr_epoch
+        sens_val, sens_stamp = self._sens_val, self._sens_stamp
+        chain: List[int] = []
+        n = start
+        while sens_stamp[n] != ep:
+            gate_index = ffr_load[n]
+            if gate_index < 0:
+                sens_val[n] = full
+                sens_stamp[n] = ep
+                break
+            chain.append(n)
+            n = gate_out[gate_index]
+        for n in reversed(chain):
+            op, out_net, ins = gate_table[ffr_load[n]]
+            acc = sens_val[out_net]
+            if acc and OP_AND <= op <= OP_NOR:
+                # Single-load nets appear on exactly one pin, so
+                # exclusion by net id is exact.
+                side = g_ones if op <= OP_NAND else g_zeros
+                for i in ins:
+                    if i != n:
+                        acc &= side[i]
+            sens_val[n] = acc
+            sens_stamp[n] = ep
+
+    def _root_flip(
+        self, g_ones: List[int], g_zeros: List[int], full: int, root: int
+    ) -> None:
+        """Memoize ``flip(root)``: patterns where flipping it is observed.
+
+        Stem-region analysis (critical path tracing, after Abramovici,
+        Menon and Miller, DAC 1983) over an observable region root:
+
+        * an output is observed in every pattern (``full``);
+        * a reconvergent root (:meth:`CompiledCircuit.reconvergent_roots`)
+          takes one event chase of its complemented rails
+          (:meth:`_chase_flip`);
+        * any other root ORs, over its load pins ``p`` on gates ``g``
+          whose output reaches an output, ``side(p) & sens(out(g)) &
+          flip(ffr_root[out(g)])``.  Its branches' cones are disjoint,
+          so no gate sees two flipped inputs: each branch's flip
+          reaches the outputs alone, through the unique chain to its
+          own root, beyond which only that root differs.
+
+        Children are evaluated on demand with an explicit stack (the
+        root DAG's depth is unbounded), and only where the pin's
+        ``side & sens`` term is nonzero.
+        """
+        circuit = self.circuit
+        ffr_root = circuit.ffr_view()[0]
+        reconvergent = circuit.reconvergent_roots()
+        reaches = circuit.reaches_output
+        is_out = circuit.is_output_flag
+        gate_table = circuit.gate_table
+        fan_start = circuit.fanout_start
+        fan_gates = circuit.fanout_gates
+        ep = self._ffr_epoch
+        sens_val, sens_stamp = self._sens_val, self._sens_stamp
+        flip_val, flip_stamp = self._flip_val, self._flip_stamp
+        # Frames: (root, None) to expand, (root, (acc, deferred)) to
+        # finish once the deferred (term, child) flips are memoized.
+        stack: List[Tuple[int, Optional[Tuple[int, list]]]] = [(root, None)]
+        while stack:
+            r, state = stack.pop()
+            if state is not None:
+                acc, deferred = state
+                for term, child in deferred:
+                    acc |= term & flip_val[child]
+            elif is_out[r]:
+                acc = full
+            elif reconvergent[r]:
+                acc = self._chase_flip(g_ones, g_zeros, full, r)
+            else:
+                acc = 0
+                deferred = []
+                for k in range(fan_start[r], fan_start[r + 1]):
+                    op, out, ins = gate_table[fan_gates[k]]
+                    if not reaches[out]:
+                        continue
+                    term = full
+                    if OP_AND <= op <= OP_NOR:
+                        # A non-reconvergent root loads each observable
+                        # gate on one pin, so exclusion by id is exact.
+                        side = g_ones if op <= OP_NAND else g_zeros
+                        for i in ins:
+                            if i != r:
+                                term &= side[i]
+                        if not term:
+                            continue
+                    if sens_stamp[out] != ep:
+                        self._sens_chain(g_ones, g_zeros, full, out)
+                    term &= sens_val[out]
+                    if not term:
+                        continue
+                    child = ffr_root[out]
+                    if flip_stamp[child] == ep:
+                        acc |= term & flip_val[child]
+                        if acc == full:
+                            break
+                    else:
+                        deferred.append((term, child))
+                if deferred and acc != full:
+                    stack.append((r, (acc, deferred)))
+                    stack.extend((child, None) for _, child in deferred)
+                    continue
+            flip_val[r] = acc
+            flip_stamp[r] = ep
 
     def _chase_flip(
         self, g_ones: List[int], g_zeros: List[int], full: int, net: int
     ) -> int:
         """One chase of the *complemented* root rails (X-free batches).
 
-        Seeding the stem sweep with ``(g_zeros[net], g_ones[net])``
-        flips the root in every pattern at once.  Because every
-        dual-rail gate op is bitwise, pattern bits evolve independently,
-        so the detected mask equals ``obs0 | obs1`` of the two
-        constant-stuck chases exactly: each bit sees the root flip away
-        from its own good value, which is what whichever polarity chase
-        differs from the good value computes for that bit.  One sweep
-        instead of two — the numpy backend's observability kernel.
+        Seeding the sweep with ``(g_zeros[net], g_ones[net])`` flips the
+        root in every pattern at once.  Because every dual-rail gate op
+        is bitwise, pattern bits evolve independently, so the detected
+        mask is exactly the per-pattern flip observability — the union
+        of the two constant-stuck chases — and ANDed with a stem
+        fault's excitation it is exactly that fault's own chase.  Only
+        reconvergent region roots need it (:meth:`_root_flip`).
         """
-        return self._chase_stem(
-            g_ones, g_zeros, full, net, g_zeros[net], g_ones[net]
-        )
-
-    def _chase_stem(
-        self,
-        g_ones: List[int],
-        g_zeros: List[int],
-        full: int,
-        seed_net: int,
-        stuck_ones: int,
-        stuck_zeros: int,
-    ) -> int:
-        """One stem event chase; the region fast path's only sweep.
-
-        Identical to the stem arm of :meth:`_propagate` (including the
-        full-detection early exit) but free of the per-fault stats —
-        region chases are shared across faults, so the callers account
-        for detect/pattern totals themselves.  Gate evaluations still
-        land in ``SIM_STATS`` (they are real kernel work).
-        """
-        circuit = self.circuit
-        reaches = circuit.reaches_output
-        if not reaches[seed_net]:
-            return 0
-        if g_ones[seed_net] == stuck_ones and g_zeros[seed_net] == stuck_zeros:
-            return 0
-        is_out = circuit.is_output_flag
-        gate_table = circuit.gate_table
-        gate_out = circuit.gate_out
-        gate_levels = circuit.gate_levels
-        fan_start = circuit.fanout_start
-        fan_gates = circuit.fanout_gates
-        f_ones, f_zeros = self._f_ones, self._f_zeros
-        net_stamp, gate_stamp = self._net_stamp, self._gate_stamp
-        buckets = self._buckets
         self._epoch += 1
-        epoch = self._epoch
-
-        f_ones[seed_net] = stuck_ones
-        f_zeros[seed_net] = stuck_zeros
-        net_stamp[seed_net] = epoch
-        detected = 0
-        if is_out[seed_net]:
-            detected = (g_ones[seed_net] & stuck_zeros) | (
-                g_zeros[seed_net] & stuck_ones
-            )
-            if detected == full:
-                return detected
-
-        pending = 0
-        level = circuit.max_level + 1
-        top_level = 0
-        for k in range(fan_start[seed_net], fan_start[seed_net + 1]):
-            g = fan_gates[k]
-            if gate_stamp[g] != epoch and reaches[gate_out[g]]:
-                gate_stamp[g] = epoch
-                lvl = gate_levels[g]
-                buckets[lvl].append(g)
-                pending += 1
-                if lvl < level:
-                    level = lvl
-                if lvl > top_level:
-                    top_level = lvl
-
-        gate_evals = 0
-        while pending and level <= top_level:
-            bucket = buckets[level]
-            level += 1
-            if not bucket:
-                continue
-            for gi in bucket:
-                pending -= 1
-                gate_evals += 1
-                op, out_net, ins = gate_table[gi]
-                if op >= OP_AND and op <= OP_NOR:
-                    if op <= OP_NAND:  # AND / NAND
-                        o, z = full, 0
-                        for i in ins:
-                            if net_stamp[i] == epoch:
-                                o &= f_ones[i]
-                                z |= f_zeros[i]
-                            else:
-                                o &= g_ones[i]
-                                z |= g_zeros[i]
-                        if op == OP_NAND:
-                            o, z = z, o
-                    else:  # OR / NOR
-                        o, z = 0, full
-                        for i in ins:
-                            if net_stamp[i] == epoch:
-                                o |= f_ones[i]
-                                z &= f_zeros[i]
-                            else:
-                                o |= g_ones[i]
-                                z &= g_zeros[i]
-                        if op == OP_NOR:
-                            o, z = z, o
-                elif op <= OP_NOT:  # BUF / NOT
-                    i = ins[0]
-                    if net_stamp[i] == epoch:
-                        o, z = f_ones[i], f_zeros[i]
-                    else:
-                        o, z = g_ones[i], g_zeros[i]
-                    if op == OP_NOT:
-                        o, z = z, o
-                else:  # XOR / XNOR
-                    it = iter(ins)
-                    i = next(it)
-                    if net_stamp[i] == epoch:
-                        o, z = f_ones[i], f_zeros[i]
-                    else:
-                        o, z = g_ones[i], g_zeros[i]
-                    for i in it:
-                        if net_stamp[i] == epoch:
-                            io, iz = f_ones[i], f_zeros[i]
-                        else:
-                            io, iz = g_ones[i], g_zeros[i]
-                        o, z = (o & iz) | (z & io), (o & io) | (z & iz)
-                    if op == OP_XNOR:
-                        o, z = z, o
-                if o == g_ones[out_net] and z == g_zeros[out_net]:
-                    continue  # event absorbed — fanout stays good
-                f_ones[out_net] = o
-                f_zeros[out_net] = z
-                net_stamp[out_net] = epoch
-                if is_out[out_net]:
-                    detected |= (g_ones[out_net] & z) | (g_zeros[out_net] & o)
-                    if detected == full:
-                        del bucket[:]
-                        for l in range(level, top_level + 1):
-                            if buckets[l]:
-                                del buckets[l][:]
-                        SIM_STATS["gate_evals"] += gate_evals
-                        return detected
-                for k in range(fan_start[out_net], fan_start[out_net + 1]):
-                    g = fan_gates[k]
-                    if gate_stamp[g] != epoch and reaches[gate_out[g]]:
-                        gate_stamp[g] = epoch
-                        lvl = gate_levels[g]
-                        buckets[lvl].append(g)
-                        pending += 1
-                        if lvl > top_level:
-                            top_level = lvl
-            del bucket[:]
-        SIM_STATS["gate_evals"] += gate_evals
-        return detected
+        return self._sweep(
+            g_ones, g_zeros, full, net, g_zeros[net], g_ones[net], None
+        )
 
     # -- batch conveniences ---------------------------------------------
 

@@ -233,45 +233,56 @@ def simulate_flat(
     return ones, zeros
 
 
-def simulate_flat_sparse(
+def append_pattern_sparse(
     circuit: CompiledCircuit,
     ones: List[int],
     zeros: List[int],
-    pattern_count: int,
-) -> Tuple[List[int], List[int]]:
-    """Event-driven :func:`simulate_flat` for sparse (mostly-X) batches.
+    assignments: Dict[int, Optional[int]],
+    bit: int,
+) -> None:
+    """Simulate one partial pattern into bit ``bit`` of a batch, in place.
 
-    Precondition: every non-input net is all-X (``ones[n] == zeros[n]
-    == 0``), as :func:`pack_patterns_flat` produces.  Only gates
-    reachable from non-X inputs are evaluated, and fanout is chased
-    only from gates whose output came out non-X.
+    Precondition: ``ones``/``zeros`` hold a simulated batch (every gate
+    output already holds its gate's function of the inputs, as after
+    :func:`simulate_flat`) and every net is X at bit ``bit`` and above
+    — the pattern is the batch's next one.  Its care bits are set on
+    the input rails, then the sweep runs forward at the batch's width
+    from those inputs only, and a gate's fanout is scheduled only when
+    the new bit of its output came out non-X.
 
-    This is bit-identical to the full sweep: in three-valued dual-rail
-    logic a gate output can be non-X only if at least one input is
-    non-X (every evaluator starts from the all-X identity and only
-    accumulates input bits), so the full sweep leaves exactly the
-    unvisited gates at X.  For PODEM's partial patterns — a few care
-    bits driving a narrow cone — this touches a small fraction of the
-    gate table.
+    This equals simulating the whole batch again: re-evaluating a gate
+    recomputes its other bits to the values they already hold (their
+    inputs are unchanged), and in three-valued dual-rail logic a gate
+    whose inputs are all X at bit ``bit`` outputs X there (every
+    evaluator starts from the all-X identity and only accumulates input
+    bits), so unvisited gates keep the X the precondition gave them.
+    For PODEM's partial patterns — a few care bits driving a narrow
+    cone — this touches a small fraction of the gate table.
     """
-    full = (1 << pattern_count) - 1
+    mask = 1 << bit
+    full = (mask << 1) - 1
     gate_table = circuit.gate_table
     gate_levels = circuit.gate_levels
     fanout_start = circuit.fanout_start
     fanout_gates = circuit.fanout_gates
     buckets: List[List[int]] = [[] for _ in range(circuit.max_level + 1)]
-    scheduled = bytearray(len(gate_table))
-    for net_id in circuit.input_ids:
-        if ones[net_id] or zeros[net_id]:
-            for slot in range(fanout_start[net_id], fanout_start[net_id + 1]):
-                gate = fanout_gates[slot]
-                if not scheduled[gate]:
-                    scheduled[gate] = 1
-                    buckets[gate_levels[gate]].append(gate)
+    scheduled = set()
+    for net_id, value in assignments.items():
+        if value == 1:
+            ones[net_id] |= mask
+        elif value == 0:
+            zeros[net_id] |= mask
+        else:
+            continue
+        for slot in range(fanout_start[net_id], fanout_start[net_id + 1]):
+            gate = fanout_gates[slot]
+            if gate not in scheduled:
+                scheduled.add(gate)
+                buckets[gate_levels[gate]].append(gate)
     # Levels ascend, and a gate's inputs all come from strictly lower
     # levels, so by the time a bucket runs its gates see final values.
-    for level in range(1, len(buckets)):
-        for gate in buckets[level]:
+    for bucket in buckets:
+        for gate in bucket:
             op, out, ins = gate_table[gate]
             if OP_AND <= op <= OP_NOR:
                 if op <= OP_NAND:  # AND / NAND
@@ -302,15 +313,16 @@ def simulate_flat_sparse(
                     o, z = (o & iz) | (z & io), (o & io) | (z & iz)
                 if op == OP_XNOR:
                     o, z = z, o
-            if o or z:
+            # An X new bit leaves the output's rails exactly as they
+            # were, so neither the write nor the fanout is needed.
+            if (o | z) & mask:
                 ones[out] = o
                 zeros[out] = z
                 for slot in range(fanout_start[out], fanout_start[out + 1]):
                     load = fanout_gates[slot]
-                    if not scheduled[load]:
-                        scheduled[load] = 1
+                    if load not in scheduled:
+                        scheduled.add(load)
                         buckets[gate_levels[load]].append(load)
-    return ones, zeros
 
 
 def simulate(

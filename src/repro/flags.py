@@ -21,6 +21,7 @@ here, as ``add_*_arguments(parser)`` groups plus the matching
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
@@ -30,10 +31,35 @@ from .runtime.session import Runtime
 # -- shared validators --------------------------------------------------
 
 
+def _parsed(kind: type, text: str, expected: str):
+    # argparse would report a ValueError as "invalid <function> value",
+    # naming the validator instead of what the flag expects.
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+
 def _worker_count(text: str) -> int:
-    value = int(text)
+    value = _parsed(int, text, "an integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _retry_count(text: str) -> int:
+    value = _parsed(int, text, "an integer")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _deadline_seconds(text: str) -> float:
+    value = _parsed(float, text, "a number")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text}"
+        )
     return value
 
 
@@ -89,12 +115,12 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the telemetry summary table to stderr after the run",
     )
     parser.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
+        "--deadline", type=_deadline_seconds, default=None, metavar="SECONDS",
         help="per-job wall-clock deadline; a job past it aborts "
              "cooperatively with a timeout (default: none)",
     )
     parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
+        "--retries", type=_retry_count, default=None, metavar="N",
         help="re-attempt failed jobs up to N extra times (implies "
              "--on-error retry; timeouts retry under a perturbed seed)",
     )

@@ -14,8 +14,9 @@ produced with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from ..errors import ConfigError, JobFailure
 from .chaos import ChaosConfig
@@ -27,6 +28,24 @@ from .config import AtpgConfig
 SEED_PERTURBATION = 0x9E3779B1
 
 ON_ERROR_MODES = ("raise", "skip", "retry")
+
+#: (field, may be None) pairs that must be finite reals.  A bool would
+#: mean one second, and NaN or infinity would disarm a deadline
+#: silently (``clock() > nan`` is never true).
+_REAL_FIELDS = (("deadline_seconds", True), ("backoff_seconds", False))
+
+#: (field, may be None) pairs that must be ints, never bools: a float
+#: attempt count or budget would fail deep inside the executor.
+_INT_FIELDS = (("backtrack_budget", True), ("max_attempts", False))
+
+
+def _is_finite_real(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int no float can hold: the clock sum fails
+        return False
 
 
 @dataclass(frozen=True)
@@ -49,6 +68,27 @@ class ExecutionPolicy:
     chaos: ChaosConfig = field(default_factory=ChaosConfig)
 
     def __post_init__(self) -> None:
+        for name, optional in _REAL_FIELDS:
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if not _is_finite_real(value):
+                raise ConfigError(
+                    f"{name} must be a finite number, got "
+                    f"{type(value).__name__} {value!r}"
+                )
+        for name, optional in _INT_FIELDS:
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(
+                    f"{name} must be an int, got {type(value).__name__} {value!r}"
+                )
+        if not isinstance(self.chaos, ChaosConfig):
+            raise ConfigError(
+                f"chaos must be a ChaosConfig, got {type(self.chaos).__name__}"
+            )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise ConfigError(
                 f"deadline_seconds must be > 0, got {self.deadline_seconds}"

@@ -23,7 +23,11 @@ from repro.atpg.compiled import CompiledCircuit
 from repro.atpg.engine import generate_n_detect_tests, generate_tests
 from repro.atpg.faults import Fault, collapse_faults, full_fault_universe
 from repro.atpg.faultsim import FaultSimulator, SIM_STATS, reset_sim_stats
-from repro.atpg.logicsim import pack_patterns_flat, simulate_flat, simulate_flat_sparse
+from repro.atpg.logicsim import (
+    append_pattern_sparse,
+    pack_patterns_flat,
+    simulate_flat,
+)
 from repro.atpg.patterns import random_pattern_rails
 from repro.errors import ConfigError
 from repro.runtime.config import AtpgConfig
@@ -53,15 +57,20 @@ def _full_batch(circuit, seed, count):
     return ones, zeros
 
 
-def _partial_batch(circuit, seed, count):
-    """A packed batch where every pattern leaves some inputs at X."""
+def _partial_patterns(circuit, seed, count):
+    """``count`` patterns, each leaving some inputs at X."""
     rng = random.Random(seed)
     patterns = []
     for _ in range(count):
         k = rng.randrange(0, len(circuit.input_ids))
         chosen = rng.sample(list(circuit.input_ids), k)
         patterns.append({n: rng.getrandbits(1) for n in chosen})
-    return pack_patterns_flat(circuit, patterns)
+    return patterns
+
+
+def _partial_batch(circuit, seed, count):
+    """A packed batch where every pattern leaves some inputs at X."""
+    return pack_patterns_flat(circuit, _partial_patterns(circuit, seed, count))
 
 
 # -- registry and resolution ---------------------------------------------
@@ -146,11 +155,8 @@ def test_fingerprint_is_backend_invariant():
 @needs_numpy
 @pytest.mark.parametrize("lanes", [1, 2, 8])
 @pytest.mark.parametrize("seed", [0, 3])
-def test_detect_masks_bit_identity_full_batches(monkeypatch, lanes, seed):
+def test_detect_masks_bit_identity_full_batches(lanes, seed):
     """FFR fast path: numpy == pure for X-free batches at every width."""
-    from repro.atpg.backends import numpy_backend
-
-    monkeypatch.setattr(numpy_backend, "FFR_MIN_FAULTS", 1)
     netlist = _circuit(seed)
     pure = CompiledCircuit(netlist, backend="pure")
     fast = CompiledCircuit(netlist, backend="numpy")
@@ -212,16 +218,19 @@ def test_lane_simulate_matches_simulate_flat(seed):
 
 
 def test_sparse_simulate_matches_full_sweep():
-    """Event-driven sparse sim == full sweep on partial patterns."""
+    """Sparse in-place appends, one bit per pattern == one full sweep."""
     netlist = _circuit(5, xor_fraction=0.3)
     circuit = CompiledCircuit(netlist, backend="pure")
     rng = random.Random(5)
     for _ in range(20):
         count = rng.choice([1, 1, 2, 5])
-        ones, zeros = _partial_batch(circuit, rng.getrandbits(30), count)
-        ref_ones, ref_zeros = list(ones), list(zeros)
+        patterns = _partial_patterns(circuit, rng.getrandbits(30), count)
+        ref_ones, ref_zeros = pack_patterns_flat(circuit, patterns)
         simulate_flat(circuit, ref_ones, ref_zeros, count)
-        simulate_flat_sparse(circuit, ones, zeros, count)
+        ones = [0] * circuit.net_count
+        zeros = [0] * circuit.net_count
+        for bit, pattern in enumerate(patterns):
+            append_pattern_sparse(circuit, ones, zeros, pattern, bit)
         assert ones == ref_ones
         assert zeros == ref_zeros
 
@@ -289,6 +298,53 @@ def test_kernel_counters_accrue():
     reset_sim_stats()
     generate_tests(netlist, 10)
     assert SIM_STATS["blocks_evaluated"] > 0
+
+
+#: Counters of one traced ``generate_tests`` on the flat SOC1 at seed 3.
+#: A cold-ATPG change keeps all of them identical, except
+#: ``faultsim.gate_evals``, which may only fall: it read 34,736 (pure)
+#: and 17,841 (numpy) while every live region root took an event chase,
+#: before stem-region analysis chased only the reconvergent ones.
+FLAT_SOC1_COUNTERS = {
+    "podem.calls": 29,
+    "podem.backtracks": 414,
+    "podem.decisions": 519,
+    "podem.events": 22373,
+    "podem.undo_depth": 11659,
+    "atpg.patterns.random": 212,
+    "atpg.patterns.deterministic": 3,
+    "atpg.patterns.pre_compaction": 10,
+    "atpg.patterns.final": 159,
+}
+FLAT_SOC1_BACKEND_COUNTERS = {
+    "pure": {
+        "faultsim.detect_calls": 9535,
+        "faultsim.fault_pattern_evals": 607350,
+        "kernel.blocks_evaluated": 19,
+        "faultsim.gate_evals": 7844,
+    },
+    "numpy": {
+        "faultsim.detect_calls": 8085,
+        "faultsim.fault_pattern_evals": 2936128,
+        "kernel.blocks_evaluated": 3,
+        "faultsim.gate_evals": 8372,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "backend", ["pure", pytest.param("numpy", marks=needs_numpy)]
+)
+def test_flat_soc1_kernel_counters_are_pinned(backend):
+    from repro.observability import Tracer, use_tracer
+    from repro.synth.socgen import elaborate, soc1_design
+
+    netlist = elaborate(soc1_design(), seed=3).monolithic
+    tracer = Tracer()
+    with use_tracer(tracer):
+        generate_tests(netlist, config=AtpgConfig(seed=3, backend=backend))
+    expected = {**FLAT_SOC1_COUNTERS, **FLAT_SOC1_BACKEND_COUNTERS[backend]}
+    assert {name: tracer.counters.get(name) for name in expected} == expected
 
 
 def test_traced_run_reports_backend():

@@ -112,6 +112,27 @@ class TestExperimentsCommand:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("flag,value,message", [
+        # NaN would run with no deadline at all: clock() > nan is never true.
+        ("--deadline", "nan", "must be a finite number of seconds > 0, got nan"),
+        ("--deadline", "soon", "expected a number, got 'soon'"),
+        ("--retries", "-1", "must be >= 0, got -1"),
+        ("--retries", "x", "expected an integer, got 'x'"),
+        ("--workers", "x", "expected an integer, got 'x'"),
+    ])
+    def test_bad_runtime_flag_names_the_flag(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments", "cone-example", "--no-cache", flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines()
+            if line.startswith("repro experiments: error: ")
+        ]
+        assert errors == [f"repro experiments: error: argument {flag}: {message}"]
+        assert "Traceback" not in captured.err
+
 
 class TestVerilogInput:
     def test_atpg_accepts_verilog(self, tmp_path, capsys):

@@ -14,9 +14,13 @@ implementation on randomized circuits:
   packed simulation of the same patterns;
 * :meth:`FaultSimulator.detect_masks` (batched, with the fanout-free
   region fast path for fully specified batches) against single-fault
-  :meth:`detect_mask`.
+  :meth:`detect_mask`, on circuits with both reconvergent and
+  non-reconvergent fanout stems;
+* :meth:`CompiledCircuit.reconvergent_roots` against a brute-force
+  check for branch fanout cones that share a gate.
 """
 
+import itertools
 import random
 
 import pytest
@@ -38,8 +42,10 @@ from repro.atpg.logicsim import pack_patterns_flat, simulate_flat
 from repro.atpg.patterns import TestPattern, random_pattern, random_pattern_rails
 from repro.atpg.podem import ImplicationKernel, X
 from repro.synth.generator import GeneratorSpec, generate_circuit
+from repro.synth.socgen import elaborate, soc1_design
 
 from .pattern_refs import pattern_from_rails
+from .test_faultsim import random_dag
 
 
 def make_circuit(seed, gates=160, inputs=9, outputs=5, flip_flops=6):
@@ -54,6 +60,50 @@ def make_circuit(seed, gates=160, inputs=9, outputs=5, flip_flops=6):
         )
     )
     return CompiledCircuit(net)
+
+
+def case_circuit(case):
+    """A generator seed (int), ``"soc1-flat"`` or an oracle ``"dag<seed>"``."""
+    if case == "soc1-flat":
+        return CompiledCircuit(elaborate(soc1_design(), seed=3).monolithic)
+    if isinstance(case, str):
+        return CompiledCircuit(random_dag(int(case[len("dag"):])))
+    return make_circuit(case)
+
+
+def stem_kinds(circuit):
+    """(reconvergent roots, other roots with two or more observable loads)."""
+    ffr_load = circuit.ffr_view()[1]
+    flags = circuit.reconvergent_roots()
+    reconvergent = plain = 0
+    for net in range(circuit.net_count):
+        if ffr_load[net] >= 0 or circuit.is_output_flag[net]:
+            continue
+        loads = [
+            g for g in circuit.fanout[net]
+            if circuit.reaches_output[circuit.gate_out[g]]
+        ]
+        if flags[net]:
+            reconvergent += 1
+        elif len(loads) >= 2:
+            plain += 1
+    return reconvergent, plain
+
+
+def brute_force_reconvergent(circuit):
+    """Per-net flags: two branches' fanout cones share an observable gate."""
+    ffr_load = circuit.ffr_view()[1]
+    reaches = circuit.reaches_output
+    flags = [False] * circuit.net_count
+    for net in range(circuit.net_count):
+        if ffr_load[net] >= 0 or circuit.is_output_flag[net] or not reaches[net]:
+            continue
+        cones = []
+        for g in circuit.fanout[net]:
+            cone = {g, *circuit.fanout_cone_gates(circuit.gate_out[g])}
+            cones.append({x for x in cone if reaches[circuit.gate_out[x]]})
+        flags[net] = any(a & b for a, b in itertools.combinations(cones, 2))
+    return flags
 
 
 def assert_states_equal(kernel_state, reference_state, context):
@@ -242,24 +292,45 @@ class TestPatternBlock:
         assert (block.ones, block.zeros) == (ones, zeros)
 
 
+class TestReconvergenceCensus:
+    @pytest.mark.parametrize(
+        "case", [0, 1, 2, "soc1-flat"] + [f"dag{seed}" for seed in range(10)]
+    )
+    def test_flags_match_brute_force_cone_overlap(self, case):
+        circuit = case_circuit(case)
+        flags = circuit.reconvergent_roots()
+        assert flags == brute_force_reconvergent(circuit)
+        if case == "soc1-flat":
+            assert sum(flags) == 48
+
+
 class TestDetectMasksBatch:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, "soc1-flat", "dag0", "dag5"])
     def test_fully_specified_batch_matches_single_fault_path(self, seed):
-        """The FFR fast path (fully specified batch) is exact."""
-        circuit = make_circuit(seed)
-        rng = random.Random(900 + seed)
-        patterns = [
-            {n: rng.getrandbits(1) for n in circuit.input_ids}
-            for _ in range(48)
-        ]
-        simulator = FaultSimulator(circuit)
-        good, count = simulator.good_values(patterns)
+        """The FFR fast path (fully specified batch) is exact.
+
+        The generator circuits have no reconvergent stem, so the flat
+        SOC1 and two random DAGs drive the event-chase arm of the
+        stem-region analysis as well as the OR-of-branches arm.
+        """
+        circuit = case_circuit(seed)
+        if isinstance(seed, str):
+            reconvergent, plain = stem_kinds(circuit)
+            assert reconvergent and plain
+        rng = random.Random(f"ffr-{seed}")
         faults = full_fault_universe(circuit)
-        masks = simulator.detect_masks(good, count, faults)
-        for fault, mask in zip(faults, masks):
-            assert mask == simulator.detect_mask(good, count, fault), (
-                fault.describe(circuit)
-            )
+        for width in (1, 64, 512):
+            patterns = [
+                {n: rng.getrandbits(1) for n in circuit.input_ids}
+                for _ in range(width)
+            ]
+            simulator = FaultSimulator(circuit)
+            good, count = simulator.good_values(patterns)
+            masks = simulator.detect_masks(good, count, faults)
+            for fault, mask in zip(faults, masks):
+                assert mask == simulator.detect_mask(good, count, fault), (
+                    width, fault.describe(circuit)
+                )
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_partial_batch_matches_single_fault_path(self, seed):

@@ -5,6 +5,8 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     AbortedError,
@@ -183,6 +185,48 @@ class TestExecutionPolicy:
             ExecutionPolicy(backoff_seconds=-1)
         with pytest.raises(ConfigError):
             validate_on_error("explode")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"deadline_seconds": float("nan")},  # never trips: clock() > nan
+        {"deadline_seconds": float("inf")},
+        {"deadline_seconds": 10**400},  # clock() + deadline would overflow
+        {"deadline_seconds": True},
+        {"deadline_seconds": "5"},
+        {"backoff_seconds": float("nan")},
+        {"backoff_seconds": None},
+        {"max_attempts": 2.5},
+        {"max_attempts": True},
+        {"max_attempts": None},
+        {"backtrack_budget": 1.5},
+        {"backtrack_budget": True},
+        {"chaos": None},
+    ])
+    def test_mistyped_fields_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError):
+            ExecutionPolicy(**kwargs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={
+        name: st.one_of(
+            st.integers(-3, 2**70),
+            st.booleans(),
+            st.none(),
+            st.floats(),
+            st.text(max_size=4),
+            st.lists(st.integers(), max_size=2),
+        )
+        for name in (
+            "deadline_seconds", "backtrack_budget", "max_attempts",
+            "backoff_seconds",
+        )
+    }))
+    def test_construction_raises_only_typed_errors(self, kwargs):
+        try:
+            policy = ExecutionPolicy(**kwargs)
+        except ReproError:
+            return
+        assert policy.max_attempts >= 1
+        assert policy.backoff_for_round(1) >= 0
 
     def test_retry_config_perturbs_seed_only_for_deterministic_failures(self):
         config = AtpgConfig(seed=5)
