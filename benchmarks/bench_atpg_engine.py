@@ -19,9 +19,9 @@ import pytest
 from repro.atpg import CompiledCircuit, collapse_faults, fault_coverage, generate_tests
 
 try:
-    from .common import record_bench, run_timed, warm_backend
+    from .common import record_bench, run_timed
 except ImportError:  # running as a plain script, not a package
-    from common import record_bench, run_timed, warm_backend
+    from common import record_bench, run_timed
 
 from repro.synth import GeneratorSpec, generate_circuit
 
@@ -62,7 +62,6 @@ def _entry(netlist, result, seconds, stats, phases):
         "fault_coverage": round(result.fault_coverage, 6),
         "patterns_per_second": round(patterns_per_s, 1),
         "faults_simulated_per_second": round(faults_per_s, 1),
-        "backend": warm_backend(),
         "blocks_evaluated": stats["blocks_evaluated"],
         "throughput_basis": "cold",
     }

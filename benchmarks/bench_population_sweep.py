@@ -29,9 +29,9 @@ from repro.sweeps import (
 from repro.synth.population import evaluate_population_point, population_spec
 
 try:
-    from .common import record_bench, run_once, warm_backend
+    from .common import record_bench, run_once
 except ImportError:  # running as a plain script, not a package
-    from common import record_bench, run_once, warm_backend
+    from common import record_bench, run_once
 
 BENCH_N = 1000
 BENCH_SEED = 11
@@ -67,15 +67,13 @@ def test_bench_population_sweep(benchmark):
     trend = aggregators[2]
     wins = aggregators[3]
 
-    backend = warm_backend()
     socs_per_second = BENCH_N / with_aggs_seconds
     # Fraction of sweep time the streaming statistics cost; can dip
     # below zero on timer noise when the true overhead is tiny.
     aggregator_overhead = (with_aggs_seconds - bare_seconds) / with_aggs_seconds
 
     print(f"\nPopulation sweep: N={BENCH_N} in {with_aggs_seconds:.2f}s "
-          f"({socs_per_second:,.0f} SOCs/s, shard size {SHARD_SIZE}, "
-          f"{backend} kernel)")
+          f"({socs_per_second:,.0f} SOCs/s, shard size {SHARD_SIZE})")
     print(f"  aggregator overhead: {100 * aggregator_overhead:+.1f}% "
           f"(bare sweep {bare_seconds:.2f}s)")
     print(f"  pearson r(nsd, reduction) = {trend.pearson:+.3f}, "
@@ -93,15 +91,8 @@ def test_bench_population_sweep(benchmark):
         "n": BENCH_N,
         "seconds": round(with_aggs_seconds, 3),
         "socs_per_second": round(socs_per_second),
-        "backend": backend,
         "aggregator_overhead": round(aggregator_overhead, 4),
         "pearson": round(trend.pearson, 4),
         "slope_pct_per_nsd": round(trend.slope, 2),
         "modular_win_fraction": round(wins.fraction, 4),
-    })
-    # Per-backend throughput rides under its own label so records from
-    # the with-NumPy and without-NumPy CI legs can coexist in one file.
-    record_bench(f"population_sweep[{backend}]", {
-        "n": BENCH_N,
-        "socs_per_second": round(socs_per_second),
     })

@@ -23,10 +23,7 @@ Two kinds of checks, per benchmark label:
   band inverted).  A failure names the phase and its delta, so a
   regression points at the guilty engine phase instead of a bare
   end-to-end slowdown.  Baselines recorded before the phase fields
-  existed simply skip these checks, as do entries produced on a
-  different kernel backend than the baseline (the pure-Python
-  fallback legitimately spends its time differently per phase; cross-
-  backend runs are still gated end-to-end by the throughput band).
+  existed simply skip these checks.
 
 Exit status is non-zero on any violation, with one line per failure —
 each names the benchmark label, the metric, both values, and which
@@ -80,11 +77,7 @@ def compare(baseline: dict, current: dict, min_ratio: float) -> List[str]:
             # Wall seconds: lower is better, so the tolerance band is
             # the throughput band inverted.  Entries missing the field
             # on either side (pre-phase baselines, reduced records)
-            # skip the check rather than fail it, as do cross-backend
-            # comparisons: per-phase time splits are a property of the
-            # kernel, so only same-backend runs can regress a phase.
-            if entry.get("backend") != base_entry.get("backend"):
-                continue
+            # skip the check rather than fail it.
             base_value = base_entry.get(key)
             value = entry.get(key)
             if base_value is None or value is None or base_value <= 0:

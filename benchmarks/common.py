@@ -17,26 +17,13 @@ import time
 
 import pytest
 
-from repro.atpg.backends import resolve_backend
 from repro.atpg.faultsim import reset_sim_stats, sim_stats
 from repro.observability import JsonlSink, Tracer, use_tracer
 from repro.observability.tracer import phase_breakdown
 
 
-def warm_backend():
-    """Resolve the kernel backend once, outside any timed region.
-
-    Under the default ``auto`` the first resolution imports NumPy
-    (~100ms) — a one-time process cost that would otherwise be charged
-    to whichever single-shot cold benchmark happens to run first.
-    Returns the resolved backend name so records can label themselves.
-    """
-    return resolve_backend().name
-
-
 def run_once(benchmark, function, *args, **kwargs):
     """Benchmark a deterministic experiment with one round."""
-    warm_backend()
     return benchmark.pedantic(function, args=args, kwargs=kwargs,
                               rounds=1, iterations=1)
 
@@ -67,7 +54,6 @@ def run_timed(benchmark, function, *args, **kwargs):
     ``REPRO_METRICS_OUT``, summary) is also written out.
     """
     measured = {}
-    warm_backend()
     trace_path, metrics_path = _trace_env()
 
     def wrapped():

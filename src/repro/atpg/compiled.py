@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist
-from .backends import resolve_backend
 
 # Gate-type opcodes for the flat-array kernels.  Every simulator in the
 # package (bit-parallel logic sim, event-driven fault sim, PODEM's
@@ -34,6 +33,23 @@ OPCODES: Dict[GateType, int] = {
     GateType.XOR: OP_XOR,
     GateType.XNOR: OP_XNOR,
 }
+
+#: Pattern-block width in 64-bit words, by circuit size: the first
+#: ``(net-count threshold, lanes)`` row a circuit reaches.  Wide blocks
+#: amortize each draw, simulate and detect call over up to 512 patterns
+#: on the flat SOCs.  Tiny circuits (per-cone ATPG in the population
+#: studies) keep single-word blocks: their random phases stop after a
+#: batch or two, so wider draws would waste RNG work.  Every width gives
+#: the same patterns, verdicts and coverage.
+LANE_TABLE: Tuple[Tuple[int, int], ...] = ((384, 8), (192, 4))
+
+
+def lanes_for(net_count: int) -> int:
+    """Pattern-block width in 64-bit words for a circuit of ``net_count`` nets."""
+    for threshold, lanes in LANE_TABLE:
+        if net_count >= threshold:
+            return lanes
+    return 1
 
 
 @dataclass(frozen=True)
@@ -56,19 +72,9 @@ class CompiledCircuit:
     conventions of :mod:`repro.circuit.netlist`.
     """
 
-    def __init__(self, netlist: Netlist, backend: Optional[str] = None):
+    def __init__(self, netlist: Netlist):
         netlist.validate()
         self.name = netlist.name
-        # Kernel backend selection (see repro.atpg.backends): an
-        # explicit name wins over $REPRO_BACKEND, which wins over
-        # "auto".  The backend never changes results — every backend is
-        # bit-identical to "pure" — so it is an execution detail here,
-        # not part of any run's identity or cache key.  ``block_lanes``
-        # is the pattern-block width (in 64-bit words) the engines pack
-        # batches to; tests may override it to force wide paths on
-        # small circuits.
-        self.backend = resolve_backend(backend)
-        self.backend_name: str = self.backend.name
         order = netlist.topological_order()
 
         self.net_names: List[str] = []
@@ -120,7 +126,11 @@ class CompiledCircuit:
         self._cone_cache: Dict[int, List[int]] = {}
         self._ffr: Optional[Tuple[List[int], List[int]]] = None
         self._reconvergent: Optional[List[bool]] = None
-        self.block_lanes: int = self.backend.lanes_for(self)
+        # The pattern-block width (in 64-bit words) the engines pack
+        # batches to.  It never changes results, so it is no part of a
+        # run's identity or cache key; tests may override it to force
+        # wide or narrow paths.
+        self.block_lanes: int = lanes_for(self.net_count)
 
     def _build_flat_view(self) -> None:
         """Lower the gate table to parallel flat arrays.

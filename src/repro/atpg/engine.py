@@ -17,7 +17,6 @@ from ..circuit.netlist import Netlist
 from ..observability import get_tracer, register_counter
 from ..runtime.abort import get_abort
 from ..runtime.config import AtpgConfig
-from .backends import BACKEND_RUNS
 from .compaction import static_compact
 from .compiled import CompiledCircuit
 from .faults import Fault, collapse_faults
@@ -104,7 +103,7 @@ class _PatternBlock:
     def __init__(self, simulator: FaultSimulator):
         self._simulator = simulator
         self._circuit = simulator.circuit
-        # Wide-lane backends widen the block to several 64-bit words.
+        # Larger circuits widen the block to several 64-bit words.
         # The skip invariant — a fault is dropped iff some previously
         # generated pattern detects it — is capacity-independent
         # (``detects`` always checks everything since the last flush, and
@@ -201,9 +200,7 @@ def generate_tests(
     with tracer.span("atpg", circuit=netlist.name, seed=seed):
         with tracer.span("compile"):
             if circuit is None:
-                circuit = CompiledCircuit(
-                    netlist, backend=config.backend if config is not None else None
-                )
+                circuit = CompiledCircuit(netlist)
             if faults is None:
                 faults = collapse_faults(circuit)
             all_faults = list(faults)
@@ -267,7 +264,6 @@ def generate_tests(
 
         if tracer.enabled:
             tracer.count(ATPG_RUNS)
-            tracer.count(BACKEND_RUNS[circuit.backend_name])
             tracer.count(ATPG_FAULTS_TOTAL, len(all_faults))
             tracer.count(ATPG_FAULTS_DETECTED, detected)
             tracer.count(ATPG_FAULTS_UNTESTABLE, len(untestable))
@@ -350,7 +346,7 @@ def _verify_and_prune(
     """
     remaining = list(faults)
     detected = 0
-    # Wide-lane backends sweep several 64-pattern words per detect call.
+    # Wide blocks sweep several 64-pattern words per detect call.
     # Detection is monotone and the credited pattern is the *first*
     # detector in reverse order, which is the same pattern whatever the
     # chunking — kept sets and detect counts are width-invariant.
@@ -410,9 +406,7 @@ def generate_n_detect_tests(
     backtrack_limit = config.backtrack_limit if config is not None else 100
     if n_detect < 1:
         raise ValueError(f"n_detect must be >= 1, got {n_detect}")
-    circuit = CompiledCircuit(
-        netlist, backend=config.backend if config is not None else None
-    )
+    circuit = CompiledCircuit(netlist)
     all_faults = collapse_faults(circuit)
     simulator = FaultSimulator(circuit)
 

@@ -153,7 +153,8 @@ def _collapse_universe(circuit: CompiledCircuit) -> List[Fault]:
     one small branch map.  Indices — and therefore every union, every
     class representative (the minimum index), and the final sorted
     fault list — are identical to the generic path's;
-    ``tests/test_backends.py`` pins the equivalence.
+    ``test_collapse_universe_fast_path_matches_generic`` pins the
+    equivalence.
     """
     from .compiled import OP_NAND, OP_NOR, OP_NOT
 

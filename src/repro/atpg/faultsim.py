@@ -904,7 +904,7 @@ def fault_coverage(
 ) -> float:
     """Fraction of ``faults`` detected by ``patterns``.
 
-    ``batch_size`` defaults to the backend's block width (64 patterns
+    ``batch_size`` defaults to the circuit's block width (64 patterns
     per lane); detection is a monotone OR over patterns, so the coverage
     is chunking-invariant.
     """

@@ -78,13 +78,13 @@ def _run_batches(
     result = RandomPhaseResult(remaining_faults=list(faults))
     abort = get_abort()
     input_ids = circuit.input_ids
-    # The backend's lane count widens each draw/simulate round-trip to
-    # several 64-pattern batches at once; the per-batch bookkeeping below
-    # then replays the wide detect masks chunk by chunk.  Dual-rail ops
-    # are per-bit independent, so each 64-bit slice of a wide mask equals
-    # the mask a narrow round would have computed — batches, kept
-    # patterns, dropped faults, and the early-exit point are identical
-    # for every lane count.
+    # The circuit's block width (``block_lanes``) widens each
+    # draw/simulate round-trip to several 64-pattern batches at once;
+    # the per-batch bookkeeping below then replays the wide detect masks
+    # chunk by chunk.  Dual-rail ops are per-bit independent, so each
+    # 64-bit slice of a wide mask equals the mask a narrow round would
+    # have computed — batches, kept patterns, dropped faults, and the
+    # early-exit point are identical for every lane count.
     lanes = circuit.block_lanes
     batch_full = (1 << batch_size) - 1
     while result.remaining_faults and result.batches < max_batches:

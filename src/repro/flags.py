@@ -8,9 +8,9 @@ here, as ``add_*_arguments(parser)`` groups plus the matching
 
 =============================  ========================================
 :func:`add_runtime_arguments`  ``--workers --cache-dir --no-cache
-                               --backend --trace --metrics
-                               --deadline --retries --on-error
-                               --run-dir --resume --profile``
+                               --trace --metrics --deadline
+                               --retries --on-error --run-dir
+                               --resume --profile``
                                (execution, shared by every
                                ATPG-running subcommand)
 :func:`add_experiment_arguments`  experiment-specific knobs
@@ -102,11 +102,6 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="disable the ATPG result cache entirely",
     )
     parser.add_argument(
-        "--backend", choices=("auto", "pure", "numpy"), default=None,
-        help="fault-simulation kernel backend (default: $REPRO_BACKEND "
-             "or auto; every backend is bit-identical)",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help="write a JSONL span/counter trace of the whole run to FILE",
     )
@@ -160,7 +155,6 @@ def runtime_from_args(args: argparse.Namespace, seed: Optional[int] = None) -> R
         on_error=args.on_error,
         run_dir=args.run_dir,
         resume=args.resume,
-        backend=getattr(args, "backend", None),
     )
 
 

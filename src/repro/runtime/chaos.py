@@ -23,16 +23,26 @@ to comma-separated ``field=value`` pairs, e.g.::
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from ..errors import ConfigError, FlakyWorkerError, WorkerCrashError
 
 CHAOS_ENV_VAR = "REPRO_CHAOS"
+
+
+def _is_finite_real(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for any float
+        return False
 
 
 @dataclass(frozen=True)
@@ -56,12 +66,23 @@ class ChaosConfig:
     corrupt_stores: int = 0  # truncate the first N cache files written
 
     def __post_init__(self) -> None:
+        # A bool or float attempt count would not survive the to_env /
+        # from_env round trip, and a NaN hang never sleeps (``nan > 0``
+        # is false), so the chaos test it configures injects nothing.
         for spec in fields(self):
-            if getattr(self, spec.name) < 0:
+            value = getattr(self, spec.name)
+            if spec.name == "hang_seconds":
+                valid, expected = _is_finite_real(value), "a finite number"
+            else:
+                valid = isinstance(value, int) and not isinstance(value, bool)
+                expected = "an int"
+            if not valid:
                 raise ConfigError(
-                    f"chaos {spec.name} must be >= 0, "
-                    f"got {getattr(self, spec.name)}"
+                    f"chaos {spec.name} must be {expected}, got "
+                    f"{type(value).__name__} {value!r}"
                 )
+            if value < 0:
+                raise ConfigError(f"chaos {spec.name} must be >= 0, got {value}")
 
     @property
     def enabled(self) -> bool:

@@ -20,13 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..errors import ConfigError
-
-# Kept in sync with repro.atpg.backends.BACKEND_CHOICES (not imported:
-# this module sits below repro.atpg by design).
-_BACKEND_CHOICES = ("auto", "pure", "numpy")
 
 #: Fields that must be real ints: a bool would run the same ATPG under
 #: a different fingerprint, and a str or float would fail deep inside
@@ -59,11 +55,6 @@ class AtpgConfig:
     #: provenance can name the epoch; it is implicit in :meth:`to_dict`
     #: and therefore never enters :meth:`fingerprint`.
     stream: int = 1
-    #: Kernel backend request (``None`` = environment/auto).  Every
-    #: backend is bit-identical to ``pure``, so this is an execution
-    #: detail: it rides along in serialized configs but is excluded
-    #: from :meth:`fingerprint`, keeping cache keys backend-invariant.
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in _INT_FIELDS:
@@ -76,11 +67,6 @@ class AtpgConfig:
             raise ConfigError(
                 f"compact must be a bool, got {type(self.compact).__name__} "
                 f"{self.compact!r}"
-            )
-        if self.backend is not None and self.backend not in _BACKEND_CHOICES:
-            raise ConfigError(
-                f"unknown kernel backend {self.backend!r}: "
-                f"choose from {', '.join(_BACKEND_CHOICES)}"
             )
         if self.backtrack_limit < 1:
             raise ConfigError(
@@ -112,12 +98,15 @@ class AtpgConfig:
         # ``stream`` is implicit (always 1), so serialized configs — and
         # every fingerprint and cached result — are byte-identical to
         # before the field existed.
-        if self.backend is not None:
-            data["backend"] = self.backend
         return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AtpgConfig":
+        """The config ``data`` describes.
+
+        Unknown keys are ignored, so entries journaled with a field
+        that no longer exists (such as ``"backend"``) still load.
+        """
         return cls(
             seed=data.get("seed", 0),
             backtrack_limit=data.get("backtrack_limit", 100),
@@ -125,17 +114,11 @@ class AtpgConfig:
             compact=data.get("compact", True),
             dynamic_compaction=data.get("dynamic_compaction", 0),
             stream=data.get("stream", 1),
-            backend=data.get("backend"),
         )
 
     def fingerprint(self) -> str:
-        """A stable content hash of the configuration.
-
-        The kernel ``backend`` is deliberately excluded: backends are
-        bit-identical, so results cached under one backend are valid —
-        and reused — under any other.
-        """
-        data = self.to_dict()
-        data.pop("backend", None)
-        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        """A stable content hash of the configuration."""
+        canonical = json.dumps(
+            self.to_dict(), sort_keys=True, separators=(",", ":")
+        )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

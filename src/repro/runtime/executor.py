@@ -47,7 +47,6 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from ..atpg.engine import AtpgResult, generate_tests
 from ..circuit.netlist import Netlist
 from ..errors import (
-    ConfigError,
     JobFailure,
     JobRetriesExhaustedError,
     JobTimeoutError,
@@ -66,7 +65,7 @@ from .cache import AtpgResultCache, result_key
 from .chaos import ChaosConfig, use_chaos
 from .config import AtpgConfig
 from .journal import RunJournal
-from .policy import ExecutionPolicy, validate_on_error
+from .policy import ExecutionPolicy, validate_on_error, validate_workers
 
 EXECUTOR_JOBS = register_counter("executor.jobs", "ATPG jobs submitted")
 EXECUTOR_EXECUTED = register_counter(
@@ -300,8 +299,7 @@ def run_jobs(
     :class:`~repro.errors.JobRetriesExhaustedError` rather than return
     a partial batch.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    validate_workers(workers)
     validate_on_error(on_error)
     policy = policy if policy is not None else ExecutionPolicy()
     tracer = get_tracer()

@@ -14,12 +14,11 @@ produced with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..errors import ConfigError, JobFailure
-from .chaos import ChaosConfig
+from .chaos import ChaosConfig, _is_finite_real
 from .config import AtpgConfig
 
 #: Seed offset applied per retry of a deterministic (timeout/budget)
@@ -37,15 +36,6 @@ _REAL_FIELDS = (("deadline_seconds", True), ("backoff_seconds", False))
 #: (field, may be None) pairs that must be ints, never bools: a float
 #: attempt count or budget would fail deep inside the executor.
 _INT_FIELDS = (("backtrack_budget", True), ("max_attempts", False))
-
-
-def _is_finite_real(value: Any) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int no float can hold: the clock sum fails
-        return False
 
 
 @dataclass(frozen=True)
@@ -124,6 +114,21 @@ class ExecutionPolicy:
         if error.retry_with_new_seed:
             return config.with_seed(config.seed + SEED_PERTURBATION * attempt)
         return config
+
+
+def validate_workers(workers: Any) -> int:
+    """A worker-process count: an int, never a bool, of at least 1.
+
+    A float would pass a bare ``workers < 1`` check and fail later
+    inside :class:`~concurrent.futures.ProcessPoolExecutor`.
+    """
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise ConfigError(
+            f"workers must be an int, got {type(workers).__name__} {workers!r}"
+        )
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def validate_on_error(on_error: str) -> str:

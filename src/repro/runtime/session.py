@@ -19,7 +19,6 @@ collects the merged per-job spans.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Iterator, List, Optional, Sequence
 
 from ..atpg.engine import AtpgResult
@@ -31,7 +30,7 @@ from .chaos import ChaosConfig
 from .config import AtpgConfig
 from .executor import AtpgJob, RunManifest, run_jobs
 from .journal import RunJournal
-from .policy import ExecutionPolicy, validate_on_error
+from .policy import ExecutionPolicy, validate_on_error, validate_workers
 
 
 class Runtime:
@@ -59,10 +58,8 @@ class Runtime:
         on_error: str = "raise",
         journal: Optional[RunJournal] = None,
     ):
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+        self.workers = validate_workers(workers)
         validate_on_error(on_error)
-        self.workers = workers
         self.cache = cache
         self.config = config if config is not None else AtpgConfig()
         self.tracer = tracer
@@ -89,7 +86,6 @@ class Runtime:
         on_error: str = "raise",
         run_dir: Optional[str] = None,
         resume: bool = False,
-        backend: Optional[str] = None,
     ) -> "Runtime":
         """Build a runtime from the shared CLI flags.
 
@@ -115,11 +111,6 @@ class Runtime:
             cache = AtpgResultCache(cache_dir if cache_dir else default_cache_dir())
         base = config if config is not None else AtpgConfig()
         resolved = base if seed is None else base.with_seed(seed)
-        if backend is not None:
-            # Kernel backend (--backend): execution detail, validated by
-            # AtpgConfig but excluded from its fingerprint — cache keys
-            # and results are backend-invariant.
-            resolved = replace(resolved, backend=backend)
         tracer = None
         if trace or metrics:
             tracer = Tracer()

@@ -1,42 +1,38 @@
-"""Differential suite for the kernel backend registry.
+"""Differential suite for the pattern-block width.
 
-Every backend must be bit-identical to ``pure``: detect masks, pattern
-counts, coverage, cache fingerprints.  These tests enforce that with
-randomized circuits over every opcode, packed widths 1/2/8 lanes,
-partial and full batches, both the FFR fast path and the event-driven
-fallback, plus the degradation contract (NumPy absent).
+``CompiledCircuit.block_lanes`` packs 1, 4 or 8 64-bit words of
+patterns per block, by circuit size.  Every width must give the same
+patterns, coverage and verdicts as one-word blocks; these tests force
+widths on randomized circuits over every opcode, end to end through
+``generate_tests``, and check that no path imports NumPy.
 """
 
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.atpg.backends import (
-    BACKEND_CHOICES,
-    BACKEND_ENV,
-    NO_NUMPY_ENV,
-    numpy_available,
-    resolve_backend,
-)
+from repro.atpg import compiled
 from repro.atpg.compiled import CompiledCircuit
 from repro.atpg.engine import generate_n_detect_tests, generate_tests
-from repro.atpg.faults import Fault, collapse_faults, full_fault_universe
-from repro.atpg.faultsim import FaultSimulator, SIM_STATS, reset_sim_stats
+from repro.atpg.faults import collapse_faults, full_fault_universe
+from repro.atpg.faultsim import SIM_STATS, reset_sim_stats
 from repro.atpg.logicsim import (
     append_pattern_sparse,
     pack_patterns_flat,
     simulate_flat,
 )
-from repro.atpg.patterns import random_pattern_rails
-from repro.errors import ConfigError
+from repro.circuit import Netlist
+from repro.circuit.gates import GateType
 from repro.runtime.config import AtpgConfig
 from repro.synth import GeneratorSpec, generate_circuit
 
 from .pattern_refs import pack_full_patterns_flat
 
-HAS_NUMPY = numpy_available()
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _circuit(seed=0, gates=400, inputs=16, xor_fraction=0.25):
@@ -46,15 +42,6 @@ def _circuit(seed=0, gates=400, inputs=16, xor_fraction=0.25):
         target_gates=gates, seed=seed, xor_fraction=xor_fraction,
     )
     return generate_circuit(spec)
-
-
-def _full_batch(circuit, seed, count):
-    """An X-free packed batch of ``count`` random patterns."""
-    rng = random.Random(seed)
-    ones, zeros = random_pattern_rails(
-        circuit.input_ids, rng, count, circuit.net_count
-    )
-    return ones, zeros
 
 
 def _partial_patterns(circuit, seed, count):
@@ -68,159 +55,69 @@ def _partial_patterns(circuit, seed, count):
     return patterns
 
 
-def _partial_batch(circuit, seed, count):
-    """A packed batch where every pattern leaves some inputs at X."""
-    return pack_patterns_flat(circuit, _partial_patterns(circuit, seed, count))
+def _at_lanes(netlist, lanes):
+    """``netlist`` compiled with its block width forced to ``lanes``."""
+    circuit = CompiledCircuit(netlist)
+    circuit.block_lanes = lanes
+    return circuit
 
 
-# -- registry and resolution ---------------------------------------------
+def _chain(nets):
+    """A netlist of exactly ``nets`` nets: one input and a NOT chain."""
+    netlist = Netlist(f"chain{nets}")
+    netlist.add_input("n0")
+    for k in range(1, nets):
+        netlist.add_gate(GateType.NOT, f"n{k}", [f"n{k - 1}"])
+    netlist.mark_output(f"n{nets - 1}")
+    return netlist
 
 
-def test_resolve_default_is_auto(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    monkeypatch.delenv(NO_NUMPY_ENV, raising=False)
-    backend = resolve_backend()
-    # Re-check availability after clearing the env: the module-level
-    # HAS_NUMPY snapshot bakes in REPRO_NO_NUMPY from the outer process.
-    assert backend.name == ("numpy" if numpy_available() else "pure")
+# -- the lane table -------------------------------------------------------
 
 
-def test_resolve_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert resolve_backend("pure").name == "pure"
+@pytest.mark.parametrize("nets,lanes", [(191, 1), (192, 4), (383, 4), (384, 8)])
+def test_block_lanes_step_at_the_table_thresholds(nets, lanes):
+    circuit = CompiledCircuit(_chain(nets))
+    assert circuit.net_count == nets
+    assert circuit.block_lanes == lanes
 
 
-def test_resolve_env_applies_when_unspecified(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "pure")
-    assert resolve_backend().name == "pure"
-    assert resolve_backend(None).name == "pure"
-    assert resolve_backend("").name == "pure"
+def test_no_path_imports_numpy():
+    """Benchmark set-up plus a wide-block ATPG run leave NumPy unloaded."""
+    script = """
+import sys
+assert "numpy" not in sys.modules, "the interpreter loads NumPy at start-up"
+from repro.atpg.backends import resolve_backend
+from repro.atpg.compiled import CompiledCircuit
+from repro.atpg.engine import generate_tests
+from repro.synth import GeneratorSpec, generate_circuit
 
-
-def test_no_numpy_masks_numpy(monkeypatch):
-    monkeypatch.setenv(NO_NUMPY_ENV, "1")
-    assert not numpy_available()
-    assert resolve_backend("auto").name == "pure"
-    # Even an explicit request degrades gracefully — bit-identical
-    # results make that safe.
-    assert resolve_backend("numpy").name == "pure"
-
-
-def test_resolve_unknown_backend_raises():
-    with pytest.raises(ConfigError):
-        resolve_backend("fortran")
-
-
-def test_backends_are_singletons():
-    assert resolve_backend("pure") is resolve_backend("pure")
-
-
-def test_compiled_circuit_carries_backend(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    netlist = _circuit(0)
-    pure = CompiledCircuit(netlist, backend="pure")
-    assert pure.backend_name == "pure"
-    assert pure.block_lanes == 1
-    if HAS_NUMPY:
-        fast = CompiledCircuit(netlist, backend="numpy")
-        assert fast.backend_name == "numpy"
-        assert fast.block_lanes >= 1
-
-
-# -- config plumbing ------------------------------------------------------
-
-
-def test_config_backend_round_trip():
-    config = AtpgConfig(backend="pure")
-    assert AtpgConfig.from_dict(config.to_dict()) == config
-    assert AtpgConfig.from_dict(AtpgConfig().to_dict()).backend is None
-
-
-def test_config_rejects_unknown_backend():
-    with pytest.raises(ConfigError):
-        AtpgConfig(backend="fortran")
-
-
-def test_fingerprint_is_backend_invariant():
-    base = AtpgConfig()
-    for name in BACKEND_CHOICES:
-        assert AtpgConfig(backend=name).fingerprint() == base.fingerprint()
-    # ...but still sensitive to real identity fields.
-    assert AtpgConfig(seed=7).fingerprint() != base.fingerprint()
-
-
-# -- kernel differentials -------------------------------------------------
-
-
-@needs_numpy
-@pytest.mark.parametrize("lanes", [1, 2, 8])
-@pytest.mark.parametrize("seed", [0, 3])
-def test_detect_masks_bit_identity_full_batches(lanes, seed):
-    """FFR fast path: numpy == pure for X-free batches at every width."""
-    netlist = _circuit(seed)
-    pure = CompiledCircuit(netlist, backend="pure")
-    fast = CompiledCircuit(netlist, backend="numpy")
-    faults = collapse_faults(pure)
-    for count in (64 * lanes, 64 * lanes - 7, 1, 2):
-        ones, zeros = _full_batch(pure, seed + count, count)
-        good_pure, _ = FaultSimulator(pure).good_values_rails(
-            list(ones), list(zeros), count
-        )
-        good_fast, _ = FaultSimulator(fast).good_values_rails(
-            list(ones), list(zeros), count
-        )
-        masks_pure = FaultSimulator(pure).detect_masks(good_pure, count, faults)
-        masks_fast = FaultSimulator(fast).detect_masks(good_fast, count, faults)
-        assert masks_pure == masks_fast
-
-
-@needs_numpy
-@pytest.mark.parametrize("seed", [1, 4])
-def test_detect_masks_bit_identity_partial_batches(seed):
-    """Partial (X-bearing) batches route both backends to the event path."""
-    netlist = _circuit(seed)
-    pure = CompiledCircuit(netlist, backend="pure")
-    fast = CompiledCircuit(netlist, backend="numpy")
-    faults = collapse_faults(pure)
-    for count in (1, 2, 8, 64):
-        ones, zeros = _partial_batch(pure, seed + count, count)
-        sim_pure, sim_fast = FaultSimulator(pure), FaultSimulator(fast)
-        good_pure, _ = sim_pure.good_values_rails(list(ones), list(zeros), count)
-        good_fast, _ = sim_fast.good_values_rails(list(ones), list(zeros), count)
-        assert sim_pure.detect_masks(good_pure, count, faults) == \
-            sim_fast.detect_masks(good_fast, count, faults)
-
-
-@needs_numpy
-@pytest.mark.parametrize("seed", [0, 2])
-def test_lane_simulate_matches_simulate_flat(seed):
-    """The numpy level-dispatched simulator matches the flat sweep, X included."""
-    from repro.atpg.backends.numpy_backend import (
-        NumpyBackend,
-        rails_to_words,
-        words_to_rails,
+assert resolve_backend().name == "pure"
+netlist = generate_circuit(GeneratorSpec(
+    name="wide", inputs=16, outputs=12, flip_flops=24, target_gates=400,
+    seed=0,
+))
+circuit = CompiledCircuit(netlist)
+assert circuit.net_count >= 384, circuit.net_count
+generate_tests(netlist, circuit=circuit)
+print(circuit.block_lanes, "numpy" in sys.modules)
+"""
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=120,
     )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["8", "False"]
 
-    netlist = _circuit(seed, xor_fraction=0.4)
-    circuit = CompiledCircuit(netlist, backend="numpy")
-    for count in (64, 130, 512):
-        ones, zeros = _partial_batch(circuit, seed + count, count)
-        ref_ones, ref_zeros = list(ones), list(zeros)
-        simulate_flat(circuit, ref_ones, ref_zeros, count)
-        words = -(-count // 64)
-        # frombuffer views are read-only; lane_simulate writes in place.
-        ones_w = rails_to_words(ones, words).copy()
-        zeros_w = rails_to_words(zeros, words).copy()
-        NumpyBackend().lane_simulate(circuit, ones_w, zeros_w)
-        full = (1 << count) - 1
-        assert [v & full for v in words_to_rails(ones_w)] == ref_ones
-        assert [v & full for v in words_to_rails(zeros_w)] == ref_zeros
+
+# -- packing and collapse fast paths -------------------------------------
 
 
 def test_sparse_simulate_matches_full_sweep():
     """Sparse in-place appends, one bit per pattern == one full sweep."""
     netlist = _circuit(5, xor_fraction=0.3)
-    circuit = CompiledCircuit(netlist, backend="pure")
+    circuit = CompiledCircuit(netlist)
     rng = random.Random(5)
     for _ in range(20):
         count = rng.choice([1, 1, 2, 5])
@@ -237,7 +134,7 @@ def test_sparse_simulate_matches_full_sweep():
 
 def test_pack_full_patterns_matches_general_packer():
     netlist = _circuit(6)
-    circuit = CompiledCircuit(netlist, backend="pure")
+    circuit = CompiledCircuit(netlist)
     rng = random.Random(6)
     patterns = [
         {n: rng.getrandbits(1) for n in circuit.input_ids} for _ in range(37)
@@ -249,7 +146,7 @@ def test_pack_full_patterns_matches_general_packer():
 def test_collapse_universe_fast_path_matches_generic():
     for seed in (0, 1, 2):
         netlist = _circuit(seed, xor_fraction=0.3)
-        circuit = CompiledCircuit(netlist, backend="pure")
+        circuit = CompiledCircuit(netlist)
         assert collapse_faults(circuit) == \
             collapse_faults(circuit, full_fault_universe(circuit))
 
@@ -257,37 +154,31 @@ def test_collapse_universe_fast_path_matches_generic():
 # -- end-to-end equality --------------------------------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("lanes", [1, 2, 8])
-def test_generate_tests_backend_equality(monkeypatch, lanes):
+def test_generate_tests_backend_equality(lanes):
     """Full ATPG runs are pattern-for-pattern identical at any lane width."""
-    from repro.atpg.backends.numpy_backend import NumpyBackend
-
-    monkeypatch.setattr(
-        NumpyBackend, "lanes_for", lambda self, circuit: lanes
-    )
     netlist = _circuit(7, gates=500, inputs=20)
-    reference = generate_tests(netlist, 7, config=AtpgConfig(seed=7, backend="pure"))
-    fast = generate_tests(netlist, 7, config=AtpgConfig(seed=7, backend="numpy"))
-    assert [p.assignments for p in fast.test_set.patterns] == \
+    config = AtpgConfig(seed=7)
+    reference = generate_tests(netlist, config=config, circuit=_at_lanes(netlist, 1))
+    wide = generate_tests(netlist, config=config, circuit=_at_lanes(netlist, lanes))
+    assert [p.assignments for p in wide.test_set.patterns] == \
         [p.assignments for p in reference.test_set.patterns]
-    assert fast.fault_coverage == reference.fault_coverage
-    assert fast.detected_count == reference.detected_count
-    assert fast.untestable == reference.untestable
+    assert wide.fault_coverage == reference.fault_coverage
+    assert wide.detected_count == reference.detected_count
+    assert wide.untestable == reference.untestable
 
 
-@needs_numpy
-def test_n_detect_backend_equality():
+def test_n_detect_backend_equality(monkeypatch):
     netlist = _circuit(8, gates=300)
-    reference = generate_n_detect_tests(
-        netlist, n_detect=2, config=AtpgConfig(seed=8, backend="pure")
-    )
-    fast = generate_n_detect_tests(
-        netlist, n_detect=2, config=AtpgConfig(seed=8, backend="numpy")
-    )
-    assert [p.assignments for p in fast.test_set.patterns] == \
+    config = AtpgConfig(seed=8)
+    results = []
+    for lanes in (1, 8):
+        monkeypatch.setattr(compiled, "lanes_for", lambda nets, lanes=lanes: lanes)
+        results.append(generate_n_detect_tests(netlist, n_detect=2, config=config))
+    reference, wide = results
+    assert [p.assignments for p in wide.test_set.patterns] == \
         [p.assignments for p in reference.test_set.patterns]
-    assert fast.fault_coverage == reference.fault_coverage
+    assert wide.fault_coverage == reference.fault_coverage
 
 
 # -- observability --------------------------------------------------------
@@ -302,9 +193,10 @@ def test_kernel_counters_accrue():
 
 #: Counters of one traced ``generate_tests`` on the flat SOC1 at seed 3.
 #: A cold-ATPG change keeps all of them identical, except
-#: ``faultsim.gate_evals``, which may only fall: it read 34,736 (pure)
-#: and 17,841 (numpy) while every live region root took an event chase,
-#: before stem-region analysis chased only the reconvergent ones.
+#: ``faultsim.gate_evals``, which may only fall: it read 34,736 (one
+#: lane) and 17,841 (default width) while every live region root took an
+#: event chase, before stem-region analysis chased only the reconvergent
+#: ones.
 FLAT_SOC1_COUNTERS = {
     "podem.calls": 29,
     "podem.backtracks": 414,
@@ -316,44 +208,37 @@ FLAT_SOC1_COUNTERS = {
     "atpg.patterns.pre_compaction": 10,
     "atpg.patterns.final": 159,
 }
-FLAT_SOC1_BACKEND_COUNTERS = {
-    "pure": {
-        "faultsim.detect_calls": 9535,
-        "faultsim.fault_pattern_evals": 607350,
-        "kernel.blocks_evaluated": 19,
-        "faultsim.gate_evals": 7844,
-    },
-    "numpy": {
+#: Width-dependent counters, at the flat SOC1's default width (8
+#: lanes) and forced to one-word blocks.
+FLAT_SOC1_LANE_COUNTERS = {
+    "default": {
         "faultsim.detect_calls": 8085,
         "faultsim.fault_pattern_evals": 2936128,
         "kernel.blocks_evaluated": 3,
         "faultsim.gate_evals": 8372,
     },
+    "one-lane": {
+        "faultsim.detect_calls": 9535,
+        "faultsim.fault_pattern_evals": 607350,
+        "kernel.blocks_evaluated": 19,
+        "faultsim.gate_evals": 7844,
+    },
 }
 
 
-@pytest.mark.parametrize(
-    "backend", ["pure", pytest.param("numpy", marks=needs_numpy)]
-)
-def test_flat_soc1_kernel_counters_are_pinned(backend):
+@pytest.mark.parametrize("width", list(FLAT_SOC1_LANE_COUNTERS))
+def test_flat_soc1_kernel_counters_are_pinned(width):
     from repro.observability import Tracer, use_tracer
     from repro.synth.socgen import elaborate, soc1_design
 
     netlist = elaborate(soc1_design(), seed=3).monolithic
+    circuit = CompiledCircuit(netlist)
+    if width == "default":
+        assert circuit.block_lanes == 8
+    else:
+        circuit.block_lanes = 1
     tracer = Tracer()
     with use_tracer(tracer):
-        generate_tests(netlist, config=AtpgConfig(seed=3, backend=backend))
-    expected = {**FLAT_SOC1_COUNTERS, **FLAT_SOC1_BACKEND_COUNTERS[backend]}
+        generate_tests(netlist, config=AtpgConfig(seed=3), circuit=circuit)
+    expected = {**FLAT_SOC1_COUNTERS, **FLAT_SOC1_LANE_COUNTERS[width]}
     assert {name: tracer.counters.get(name) for name in expected} == expected
-
-
-def test_traced_run_reports_backend():
-    from repro.observability import Tracer, use_tracer
-
-    netlist = _circuit(11, gates=200)
-    tracer = Tracer()
-    with use_tracer(tracer):
-        generate_tests(netlist, 11)
-    backend = resolve_backend().name
-    assert tracer.counters.get(f"kernel.backend.{backend}") == 1
-    assert tracer.counters.get("kernel.blocks_evaluated", 0) > 0

@@ -19,7 +19,6 @@ from repro.atpg import (
     full_fault_universe,
     generate_tests,
 )
-from repro.atpg.backends import numpy_available
 from repro.circuit import Netlist
 from repro.circuit.gates import GateType
 from repro.runtime.config import AtpgConfig
@@ -165,15 +164,6 @@ DAG_GATES = (
     GateType.NOT,
 )
 
-BACKENDS = [
-    "pure",
-    pytest.param(
-        "numpy",
-        marks=pytest.mark.skipif(not numpy_available(), reason="numpy masked"),
-    ),
-]
-
-
 def random_dag(seed: int) -> Netlist:
     """A random gate DAG: 3-6 inputs, 12-18 gates over earlier nets.
 
@@ -218,7 +208,7 @@ def oracle_cases():
     """(netlist, collapsed faults, all input vectors, reference masks)."""
     cases = []
     for netlist in oracle_netlists():
-        circuit = CompiledCircuit(netlist, backend="pure")
+        circuit = CompiledCircuit(netlist)
         faults = collapse_faults(circuit)
         names = [circuit.net_names[n] for n in circuit.input_ids]
         vectors = list(itertools.product((0, 1), repeat=len(names)))
@@ -240,10 +230,9 @@ class TestExhaustiveOracle:
         )
         assert untestable > 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_detect_masks_match_reference(self, oracle_cases, backend):
+    def test_detect_masks_match_reference(self, oracle_cases):
         for netlist, faults, vectors, reference in oracle_cases:
-            circuit = CompiledCircuit(netlist, backend=backend)
+            circuit = CompiledCircuit(netlist)
             assert collapse_faults(circuit) == faults
             simulator = FaultSimulator(circuit)
             patterns = [dict(zip(circuit.input_ids, vector)) for vector in vectors]
@@ -252,10 +241,14 @@ class TestExhaustiveOracle:
                 netlist.name
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_engine_verdicts_match_reference(self, oracle_cases, backend):
+    # The oracle circuits have at most 24 nets, so they run one-word
+    # blocks unless forced wider.
+    @pytest.mark.parametrize("lanes", [1, 8])
+    def test_engine_verdicts_match_reference(self, oracle_cases, lanes):
         for netlist, faults, _, reference in oracle_cases:
-            result = generate_tests(netlist, config=AtpgConfig(backend=backend))
+            circuit = CompiledCircuit(netlist)
+            circuit.block_lanes = lanes
+            result = generate_tests(netlist, config=AtpgConfig(), circuit=circuit)
             never_detected = {
                 fault for fault, mask in zip(faults, reference) if not mask
             }

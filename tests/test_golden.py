@@ -4,12 +4,12 @@ Each file under ``tests/golden/`` is the stdout of ``repro experiments
 <name> --no-cache`` in a clean environment.  ``table4`` prints the same
 combined ITC'02 report as ``table3``, so one file serves that group.
 The experiments whose numbers come out of ATPG runs are also replayed
-on the pure-Python kernel (``REPRO_NO_NUMPY=1``), which must print the
-same bytes as the default backend.  The ``tam`` run also writes its
-``--tam-front`` Pareto-front JSON, pinned by ``tam-front.json``.
-The ATPG-backed experiments are also run against a fresh result cache
-and rerun warm, on both kernels: what the cache serves must print the
-same bytes.
+with every circuit forced to one-word pattern blocks, which must print
+the same bytes as the default block widths.  The ``tam`` run also
+writes its ``--tam-front`` Pareto-front JSON, pinned by
+``tam-front.json``.  The ATPG-backed experiments are also run against a
+fresh result cache and rerun warm, at both widths: what the cache
+serves must print the same bytes.
 
 A golden file changes only when an output change is intended.
 Regenerate it with::
@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.atpg import compiled
 from repro.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -43,11 +44,12 @@ GOLDEN = (
     "tam",
 )
 
-#: The experiments that run ATPG, so their stdout depends on the kernel.
+#: The experiments that run ATPG, so their stdout could depend on the
+#: pattern-block width.
 ATPG_BACKED = ("cone-example", "table1", "extensions", "table2")
 
 CASES = [(name, "default") for name in GOLDEN] + [
-    (name, "pure") for name in ATPG_BACKED
+    (name, "one-lane") for name in ATPG_BACKED
 ]
 
 
@@ -61,13 +63,18 @@ def clean_environment(monkeypatch):
             monkeypatch.delenv(variable)
 
 
-@pytest.mark.parametrize("name,kernel", CASES)
+def force_one_lane(monkeypatch):
+    """Compile every circuit from here on with one-word pattern blocks."""
+    monkeypatch.setattr(compiled, "lanes_for", lambda net_count: 1)
+
+
+@pytest.mark.parametrize("name,width", CASES)
 def test_experiment_stdout_matches_golden(
-    name, kernel, monkeypatch, capsys, tmp_path
+    name, width, monkeypatch, capsys, tmp_path
 ):
     clean_environment(monkeypatch)
-    if kernel == "pure":
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    if width == "one-lane":
+        force_one_lane(monkeypatch)
 
     argv = ["experiments", name, "--no-cache"]
     front = tmp_path / "tam-front.json"
@@ -85,16 +92,16 @@ def test_warm_cache_replays_golden_stdout(name, monkeypatch, capsys, tmp_path):
     """Results served from the cache print the golden bytes too.
 
     One cold run fills a fresh cache directory; a warm rerun and a warm
-    rerun on the pure kernel must print the same stdout and execute no
+    rerun at one-word blocks must print the same stdout and execute no
     ATPG job at all.
     """
     clean_environment(monkeypatch)
     golden = (GOLDEN_DIR / f"{name}.txt").read_bytes()
     argv = ["experiments", name, "--cache-dir", str(tmp_path / "cache")]
     executed = []
-    for run in ("cold", "warm", "warm-pure"):
-        if run == "warm-pure":
-            monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    for run in ("cold", "warm", "warm-one-lane"):
+        if run == "warm-one-lane":
+            force_one_lane(monkeypatch)
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert captured.out.encode() == golden, run

@@ -208,7 +208,7 @@ def assert_rails_match_reference(input_ids, net_count, count, seed):
 
 
 class TestPackedRandomPatterns:
-    # 512 is the numpy backend's 8-lane draw.
+    # 512 is an 8-lane block's draw.
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("count", [0, 1, 17, 64, 512])
     def test_rails_match_dict_path_and_rng_state(self, seed, count):

@@ -3,6 +3,7 @@ retries, chaos injection, and checkpoint/resume."""
 
 import json
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,57 @@ class TestChaosConfig:
     def test_negative_rejected(self):
         with pytest.raises(ConfigError):
             ChaosConfig(crash_attempts=-1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"crash_attempts": "1"},
+        {"crash_attempts": 1.5},
+        {"crash_attempts": True},  # to_env would write "True"
+        {"hang_attempts": None},
+        {"flaky_attempts": 2.0},
+        {"corrupt_stores": False},
+        {"hang_seconds": float("nan")},  # never sleeps: nan > 0 is false
+        {"hang_seconds": float("inf")},  # time.sleep overflows
+        {"hang_seconds": 10**400},
+        {"hang_seconds": True},
+        {"hang_seconds": "0.5"},
+    ])
+    def test_mistyped_fields_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError):
+            ChaosConfig(**kwargs)
+
+    @pytest.mark.parametrize("text", [
+        "hang_seconds=nan,hang_attempts=1",
+        "hang_seconds=inf,hang_attempts=1",
+    ])
+    def test_non_finite_hang_rejected_from_env(self, text):
+        with pytest.raises(ConfigError):
+            ChaosConfig.from_env(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={
+        name: st.one_of(
+            st.integers(-3, 2**70),
+            st.booleans(),
+            st.none(),
+            st.floats(),
+            st.text(max_size=4),
+            st.lists(st.integers(), max_size=2),
+        )
+        for name in (
+            "hang_seconds", "hang_attempts", "crash_attempts",
+            "flaky_attempts", "corrupt_stores",
+        )
+    }))
+    def test_construction_raises_only_typed_errors(self, kwargs):
+        try:
+            chaos = ChaosConfig(**kwargs)
+        except ReproError:
+            return
+        # What construction accepts, REPRO_CHAOS can carry.
+        restored = ChaosConfig.from_env(chaos.to_env())
+        assert restored.hang_seconds == float(chaos.hang_seconds)
+        assert replace(restored, hang_seconds=0.0) == \
+            replace(chaos, hang_seconds=0.0)
 
 
 class TestExecutionPolicy:

@@ -100,6 +100,12 @@ class TestAtpgConfig:
         # pre-epoch format, so every cached fingerprint stays valid.
         assert "stream" not in AtpgConfig().to_dict()
 
+    def test_retired_backend_key_loads_as_the_same_config(self):
+        # Journal entries written while --backend existed carry the key.
+        config = AtpgConfig.from_dict({**AtpgConfig().to_dict(), "backend": "pure"})
+        assert config == AtpgConfig()
+        assert config.fingerprint() == AtpgConfig().fingerprint()
+
     def test_stream_other_than_1_rejected(self):
         for bad in (2, 3):
             with pytest.raises(ConfigError, match="pattern-stream epoch"):
@@ -131,11 +137,10 @@ class TestAtpgConfig:
             st.floats(),
             st.text(max_size=4),
             st.lists(st.integers(), max_size=2),
-            st.sampled_from(["auto", "pure", "numpy"]),
         )
         for name in (
             "seed", "backtrack_limit", "random_batches", "compact",
-            "dynamic_compaction", "stream", "backend",
+            "dynamic_compaction", "stream",
         )
     }))
     def test_construction_raises_only_typed_errors(self, kwargs):
@@ -274,6 +279,13 @@ class TestExecutor:
     def test_rejects_bad_worker_count(self, netlist):
         with pytest.raises(ValueError):
             run_jobs([AtpgJob(name="x", netlist=netlist)], workers=0)
+
+    @pytest.mark.parametrize("workers", ["2", 1.5, True, None])
+    def test_rejects_mistyped_worker_count(self, netlist, workers):
+        with pytest.raises(ConfigError):
+            run_jobs([AtpgJob(name="x", netlist=netlist)], workers=workers)
+        with pytest.raises(ConfigError):
+            Runtime(workers=workers)
 
 
 class TestRuntimeFacade:
