@@ -69,7 +69,7 @@ from .errors import (
     SocFormatError,
     UnknownBenchmarkError,
 )
-from .soc import Core, Soc, SocBuilder, flatten, isocost
+from .soc import Core, Soc, flatten, isocost
 
 __version__ = "1.0.0"
 
@@ -118,7 +118,6 @@ __all__ = [
     "UnknownBenchmarkError",
     "Core",
     "Soc",
-    "SocBuilder",
     "TdvSummary",
     "analyze",
     "decompose",

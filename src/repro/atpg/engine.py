@@ -158,7 +158,6 @@ def generate_tests(
     backtrack_limit: int = 100,
     random_batches: int = 32,
     compact: bool = True,
-    faults: Optional[List[Fault]] = None,
     dynamic_compaction: int = 0,
     config: Optional[AtpgConfig] = None,
     circuit: Optional[CompiledCircuit] = None,
@@ -183,10 +182,9 @@ def generate_tests(
     runtime cache keys results on — lives in one value.
 
     ``circuit`` optionally supplies an already-compiled view of
-    ``netlist`` so repeated runs (e.g. the n-detect passes) share one
-    compilation and its memoized cone/reachability precomputation.  It
-    is pure shared state, never part of a run's identity, and does not
-    enter the :meth:`~repro.runtime.config.AtpgConfig.fingerprint`.
+    ``netlist``, e.g. one whose pattern-block width a caller has set.
+    It is pure shared state, never part of a run's identity, and does
+    not enter the :meth:`~repro.runtime.config.AtpgConfig.fingerprint`.
     """
     if config is not None:
         seed = config.seed
@@ -201,9 +199,7 @@ def generate_tests(
         with tracer.span("compile"):
             if circuit is None:
                 circuit = CompiledCircuit(netlist)
-            if faults is None:
-                faults = collapse_faults(circuit)
-            all_faults = list(faults)
+            all_faults = collapse_faults(circuit)
 
         simulator = FaultSimulator(circuit)
         random_result = run_random_phase(
@@ -375,96 +371,6 @@ def _verify_and_prune(
         patterns=[p for p, keep in zip(patterns, keep_flags) if keep],
     )
     return kept, detected
-
-
-def generate_n_detect_tests(
-    netlist: Netlist,
-    n_detect: int = 3,
-    max_passes: Optional[int] = None,
-    config: Optional[AtpgConfig] = None,
-) -> AtpgResult:
-    """N-detect test generation: every fault observed ``n_detect`` times.
-
-    Modern defect-oriented flows require each stuck-at fault to be
-    detected by several *distinct* patterns, which raises the chance of
-    incidentally catching the unmodelled defect at the same site.  The
-    flow here runs the standard engine repeatedly, masking each fault
-    once per pass until its quota is met; pattern counts therefore grow
-    roughly linearly in ``n_detect`` — yet another pattern-count
-    multiplier feeding the paper's per-core ``T`` values.
-
-    The result's ``test_set`` is the concatenation of the per-pass sets
-    (re-verified as a whole); ``detected_count`` counts faults that met
-    the full quota.
-
-    The engine knobs belong in ``config``
-    (:class:`~repro.runtime.config.AtpgConfig`): the loose ``seed`` /
-    ``backtrack_limit`` keywords of earlier releases are gone — passing
-    them is a :class:`TypeError` now.
-    """
-    seed = config.seed if config is not None else 0
-    backtrack_limit = config.backtrack_limit if config is not None else 100
-    if n_detect < 1:
-        raise ValueError(f"n_detect must be >= 1, got {n_detect}")
-    circuit = CompiledCircuit(netlist)
-    all_faults = collapse_faults(circuit)
-    simulator = FaultSimulator(circuit)
-
-    remaining_quota: Dict[Fault, int] = {fault: n_detect for fault in all_faults}
-    combined = TestSet(circuit_name=netlist.name)
-    untestable: List[Fault] = []
-    aborted: List[Fault] = []
-    passes = 0
-    limit = max_passes if max_passes is not None else n_detect + 2
-    abort = get_abort()
-    while passes < limit and remaining_quota:
-        abort.check()
-        targets = list(remaining_quota)
-        result = generate_tests(
-            netlist,
-            seed=seed + passes,
-            backtrack_limit=backtrack_limit,
-            faults=targets,
-            circuit=circuit,
-        )
-        if passes == 0:
-            untestable = result.untestable
-            for fault in untestable:
-                remaining_quota.pop(fault, None)
-        aborted = result.aborted
-        combined.patterns.extend(result.test_set.patterns)
-        # Charge the new patterns against the quotas they serve, a block
-        # at a time: the popcount of the detect mask is exactly the
-        # number of per-pattern decrements the one-at-a-time loop would
-        # make, and a quota only ever hits zero once, so the chunking
-        # never changes which faults retire or the surviving dict order.
-        new_patterns = result.test_set.patterns
-        charge_width = 64 * circuit.block_lanes
-        for start in range(0, len(new_patterns), charge_width):
-            batch = new_patterns[start:start + charge_width]
-            ones, zeros = pack_rows(circuit, [p.row for p in batch])
-            good, count = simulator.good_values_rails(ones, zeros, len(batch))
-            targets = list(remaining_quota)
-            masks = simulator.detect_masks(good, count, targets)
-            for fault, mask in zip(targets, masks):
-                if mask:
-                    remaining_quota[fault] -= bin(mask).count("1")
-                    if remaining_quota[fault] <= 0:
-                        del remaining_quota[fault]
-        passes += 1
-
-    satisfied = len(all_faults) - len(untestable) - len(remaining_quota)
-    return AtpgResult(
-        circuit_name=netlist.name,
-        test_set=combined,
-        fault_count=len(all_faults),
-        detected_count=satisfied,
-        untestable=untestable,
-        aborted=aborted,
-        random_pattern_count=0,
-        deterministic_pattern_count=len(combined),
-        pre_compaction_count=len(combined),
-    )
 
 
 def extract_cone_netlist(netlist: Netlist, cone: Cone) -> Netlist:

@@ -94,10 +94,9 @@ class FaultSimulator:
     """Reusable fault-simulation context for one compiled circuit.
 
     Cone and reachability precomputation lives on the
-    :class:`CompiledCircuit` (computed once per circuit), so any number
-    of simulator instances — e.g. one per n-detect pass — share it.
-    The per-instance state is only the epoch-stamped scratch arrays of
-    the event kernel.
+    :class:`CompiledCircuit` (computed once per circuit), so every
+    simulator instance over one circuit shares it.  The per-instance
+    state is only the epoch-stamped scratch arrays of the event kernel.
     """
 
     def __init__(self, circuit: CompiledCircuit):
@@ -841,17 +840,6 @@ class FaultSimulator:
         )
 
     # -- batch conveniences ---------------------------------------------
-
-    def simulate_batch(
-        self,
-        patterns: Sequence[Dict[int, Optional[int]]],
-        faults: Iterable[Fault],
-    ) -> Dict[Fault, int]:
-        """Detection masks for every fault over one pattern batch."""
-        good, count = self.good_values(patterns)
-        fault_list = list(faults)
-        masks = self.detect_masks(good, count, fault_list)
-        return dict(zip(fault_list, masks))
 
     def drop_detected(
         self,

@@ -435,32 +435,25 @@ class Podem:
         self._is_output = circuit.is_output_flag
         self._level = circuit.gate_levels
         # Implication table: (output id, input ids, kind, table, invert)
-        # specialized per gate from the circuit's flat opcode table.  The
-        # tables depend only on the circuit, so they are memoized on it —
-        # every engine built over a shared circuit (one per n-detect
-        # pass) reuses them instead of rebuilding.
-        tables = getattr(circuit, "_podem_tables", None)
-        if tables is None:
-            table5: List[Tuple[int, Tuple[int, ...], int, object, bool]] = []
-            fold_info: List[Optional[Tuple[object, int]]] = []
-            for op, out_id, in_ids in circuit.gate_table:
-                inv = op in _INVERTING_OPS
-                if op < OP_AND:  # BUF / NOT
-                    kind = _KIND_NOT if op == OP_NOT else _KIND_BUF
-                    table: object = None
-                    fold_info.append(None)
-                elif len(in_ids) == 2:
-                    kind = _KIND_PAIR
-                    table = _PAIR_TABLES[op]
-                    fold_info.append(_FOLD_TABLES[op])
-                else:
-                    kind = _KIND_FOLD
-                    table = _FOLD_TABLES[op]
-                    fold_info.append(_FOLD_TABLES[op])
-                table5.append((out_id, in_ids, kind, table, inv))
-            tables = (table5, fold_info)
-            circuit._podem_tables = tables
-        self._table5, self._fold_info = tables
+        # specialized per gate from the circuit's flat opcode table.
+        table5: List[Tuple[int, Tuple[int, ...], int, object, bool]] = []
+        fold_info: List[Optional[Tuple[object, int]]] = []
+        for op, out_id, in_ids in circuit.gate_table:
+            inv = op in _INVERTING_OPS
+            if op < OP_AND:  # BUF / NOT
+                kind = _KIND_NOT if op == OP_NOT else _KIND_BUF
+                table: object = None
+                fold_info.append(None)
+            elif len(in_ids) == 2:
+                kind = _KIND_PAIR
+                table = _PAIR_TABLES[op]
+                fold_info.append(_FOLD_TABLES[op])
+            else:
+                kind = _KIND_FOLD
+                table = _FOLD_TABLES[op]
+                fold_info.append(_FOLD_TABLES[op])
+            table5.append((out_id, in_ids, kind, table, inv))
+        self._table5, self._fold_info = table5, fold_info
 
     # -- public ------------------------------------------------------------
 

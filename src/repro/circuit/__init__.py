@@ -35,10 +35,7 @@ from .scan import (
     ScanInsertion,
     chain_lengths,
     insert_scan,
-    shift_in_sequence,
-    stitch_scan_chains,
 )
-from .seqsim import SequentialTrace, settle_combinational, simulate_sequence
 from .verilog import (
     VerilogFormatError,
     dump_verilog,
@@ -66,7 +63,6 @@ __all__ = [
     "NetlistError",
     "ScanChain",
     "ScanInsertion",
-    "SequentialTrace",
     "Trit",
     "VerilogFormatError",
     "chain_lengths",
@@ -92,9 +88,5 @@ __all__ = [
     "save_bench_file",
     "save_verilog_file",
     "scoap_measures",
-    "settle_combinational",
-    "shift_in_sequence",
-    "simulate_sequence",
-    "stitch_scan_chains",
     "testability_summary",
 ]

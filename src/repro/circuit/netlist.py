@@ -71,7 +71,6 @@ class Netlist:
         self.flip_flops: List[FlipFlop] = []
         self._drivers: Dict[str, str] = {}  # net -> "input" | "gate" | "ff"
         self._gate_by_output: Dict[str, Gate] = {}
-        self._ff_by_output: Dict[str, FlipFlop] = {}
         self._topo_cache: Optional[List[Gate]] = None
 
     # -- construction ---------------------------------------------------------
@@ -94,7 +93,6 @@ class Netlist:
         ff = FlipFlop(output, data)
         self._claim_driver(output, "ff")
         self.flip_flops.append(ff)
-        self._ff_by_output[output] = ff
         return ff
 
     def mark_output(self, net: str) -> None:
@@ -116,15 +114,8 @@ class Netlist:
         """Every driven net, in driver insertion order."""
         return list(self._drivers.keys())
 
-    def driver_kind(self, net: str) -> Optional[str]:
-        """``"input"``, ``"gate"``, ``"ff"``, or None for undriven nets."""
-        return self._drivers.get(net)
-
     def gate_driving(self, net: str) -> Optional[Gate]:
         return self._gate_by_output.get(net)
-
-    def flip_flop_driving(self, net: str) -> Optional[FlipFlop]:
-        return self._ff_by_output.get(net)
 
     def fanout_map(self) -> Dict[str, List[Gate]]:
         """For each net, the gates that read it."""

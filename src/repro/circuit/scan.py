@@ -13,9 +13,9 @@ in :mod:`repro.tam.idle_bits`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from .gates import GateType
+from ..errors import ConfigError
 from .netlist import Netlist
 
 
@@ -78,7 +78,7 @@ def insert_scan(
     the worst-case imbalance used by the idle-bit ablation.
     """
     if chain_count < 1:
-        raise ValueError(f"chain_count must be >= 1, got {chain_count}")
+        raise ConfigError(f"chain_count must be >= 1, got {chain_count}")
     cells = [ff.output for ff in netlist.flip_flops]
     groups: List[List[str]] = [[] for _ in range(chain_count)]
     if balanced:
@@ -95,102 +95,6 @@ def insert_scan(
         for i, group in enumerate(groups)
     ]
     return ScanInsertion(netlist_name=netlist.name, chains=chains)
-
-
-def stitch_scan_chains(netlist: Netlist, insertion: ScanInsertion) -> Netlist:
-    """Build the gate-level mux-scan netlist for a scan configuration.
-
-    Every flip-flop's D input is replaced by a 2:1 mux: functional data
-    when ``scan_enable`` is 0, the previous chain cell (or the chain's
-    ``scan_in`` port) when 1.  Each chain's last cell drives a
-    ``scan_out`` output.  The mux is synthesized from the existing
-    primitives (``OR(AND(d, !se), AND(si, se))``), so the result is an
-    ordinary netlist that every tool in the package — including the
-    cycle-accurate simulator used to *prove* the shift behaviour —
-    handles unchanged.
-    """
-    cells = {cell for chain in insertion.chains for cell in chain.cells}
-    if cells != {ff.output for ff in netlist.flip_flops}:
-        raise ValueError(
-            f"{netlist.name}: scan insertion does not cover the flip-flops"
-        )
-    stitched = Netlist(f"{netlist.name}_scan")
-    for net in netlist.inputs:
-        stitched.add_input(net)
-    stitched.add_input("scan_enable")
-    stitched.add_gate(GateType.NOT, "scan_enable_n", ["scan_enable"])
-
-    previous_in_chain: Dict[str, str] = {}
-    for index, chain in enumerate(insertion.chains):
-        scan_in = f"scan_in{index}"
-        stitched.add_input(scan_in)
-        upstream = scan_in
-        for cell in chain.cells:
-            previous_in_chain[cell] = upstream
-            upstream = cell
-        if chain.cells:
-            scan_out = f"scan_out{index}"
-            stitched.add_gate(GateType.BUF, scan_out, [chain.cells[-1]])
-            stitched.mark_output(scan_out)
-
-    for ff in netlist.flip_flops:
-        mux = f"{ff.output}_scanmux"
-        stitched.add_flip_flop(ff.output, mux)
-        stitched.add_gate(
-            GateType.AND, f"{mux}_func", [ff.data, "scan_enable_n"]
-        )
-        stitched.add_gate(
-            GateType.AND, f"{mux}_shift",
-            [previous_in_chain[ff.output], "scan_enable"],
-        )
-        stitched.add_gate(GateType.OR, mux, [f"{mux}_func", f"{mux}_shift"])
-
-    for gate in netlist.topological_order():
-        stitched.add_gate(gate.gate_type, gate.output, gate.inputs)
-    for net in netlist.outputs:
-        stitched.mark_output(net)
-    stitched.validate()
-    return stitched
-
-
-def shift_in_sequence(
-    insertion: ScanInsertion,
-    load: Dict[str, int],
-    functional_inputs: Optional[Dict[str, int]] = None,
-) -> List[Dict[str, int]]:
-    """The per-cycle input vectors that shift ``load`` into the chains.
-
-    ``load`` maps scan-cell names to target values.  Returns
-    ``max_chain_length`` cycles of assignments for the stitched netlist
-    (scan_enable high, scan_in pins carrying the serial streams): cell
-    values enter last-cell-first, so after the final cycle every cell
-    holds its target — the claim the seqsim-based test proves.
-    """
-    cycles = insertion.max_chain_length
-    functional_inputs = functional_inputs or {}
-    sequence: List[Dict[str, int]] = []
-    for cycle in range(cycles):
-        step: Dict[str, int] = {"scan_enable": 1}
-        step.update(functional_inputs)
-        for index, chain in enumerate(insertion.chains):
-            if not chain.cells:
-                continue
-            # A bit injected at cycle c undergoes (cycles-1-c) further
-            # shifts, ending in cell (cycles-1-c).  Chains shorter than
-            # the longest therefore lead with padding (those early bits
-            # fall off the far end), then carry the real stream.
-            position = cycles - 1 - cycle
-            if position < len(chain.cells):
-                step[f"scan_in{index}"] = load.get(chain.cells[position], 0)
-            else:
-                step[f"scan_in{index}"] = 0
-        sequence.append(step)
-    return sequence
-
-
-def shift_cycles_per_pattern(insertion: ScanInsertion) -> int:
-    """Shift cycles to load one pattern (and unload the previous one)."""
-    return insertion.max_chain_length
 
 
 def chain_lengths(insertion: ScanInsertion) -> Sequence[int]:

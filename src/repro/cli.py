@@ -54,10 +54,12 @@ def _cmd_tdv(args: argparse.Namespace) -> int:
 
         print(dumps(analysis_report(soc, monolithic_patterns=args.mono_patterns)))
         return 0
+    # Summarized first: a --mono-patterns below the Eq. 2 bound is then
+    # refused before anything reaches stdout.
+    summary = summarize(soc, monolithic_patterns=args.mono_patterns)
     print(hierarchy_summary(soc))
     print()
     print(soc_table(soc, actual_monolithic_patterns=args.mono_patterns))
-    summary = summarize(soc, monolithic_patterns=args.mono_patterns)
     print(f"\nTDV monolithic: {summary.tdv_monolithic:,} bits "
           f"(T_mono = {summary.monolithic_patterns})")
     print(f"TDV modular:    {summary.tdv_modular:,} bits "
@@ -89,8 +91,10 @@ def _cmd_vectors(args: argparse.Namespace) -> int:
     netlist = load_netlist(args.design)
     runtime = runtime_from_args(args, seed=args.seed)
     result = runtime.generate(netlist)
-    report_runtime(runtime)
+    # Exported before the manifest is reported: a bad --chains then
+    # leaves its one error line alone on stderr.
     program = export_program(netlist, result, chain_count=args.chains)
+    report_runtime(runtime)
     text = dump_vectors(program)
     if args.output:
         Path(args.output).write_text(text)

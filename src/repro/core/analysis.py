@@ -80,12 +80,7 @@ def pessimism_factor(actual_monolithic_patterns: int, soc: Soc) -> float:
     bound = soc.max_core_patterns
     if bound == 0:
         raise ValueError("SOC has no test patterns; pessimism factor undefined")
-    if actual_monolithic_patterns < bound:
-        raise ValueError(
-            f"actual monolithic pattern count {actual_monolithic_patterns} "
-            f"violates the Eq. 2 lower bound {bound}"
-        )
-    return actual_monolithic_patterns / bound
+    return soc.monolithic_patterns(actual_monolithic_patterns) / bound
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -19,7 +19,6 @@ from ..soc.hierarchy import isocost
 from ..soc.model import Soc
 from .tdv import (
     chip_io_residual,
-    monolithic_pattern_lower_bound,
     tdv_benefit,
     tdv_modular,
     tdv_monolithic,
@@ -83,11 +82,7 @@ def decompose(
     ``T_top * (I+O+2B)_top`` bits, so :meth:`Decomposition.identity_error`
     still equals :attr:`Decomposition.residual` exactly.
     """
-    t_mono = (
-        monolithic_pattern_lower_bound(soc)
-        if monolithic_patterns is None
-        else monolithic_patterns
-    )
+    t_mono = soc.monolithic_patterns(monolithic_patterns)
     per_core = []
     for core in soc:
         iso = isocost(soc, core.name, chip_pin_wrappers)
@@ -127,11 +122,7 @@ def penalty_by_core(soc: Soc, chip_pin_wrappers: bool = True) -> Dict[str, int]:
 
 def benefit_by_core(soc: Soc, monolithic_patterns: Optional[int] = None) -> Dict[str, int]:
     """Eq. 8 summands keyed by core name."""
-    t_mono = (
-        monolithic_pattern_lower_bound(soc)
-        if monolithic_patterns is None
-        else monolithic_patterns
-    )
+    t_mono = soc.monolithic_patterns(monolithic_patterns)
     return {
         core.name: (t_mono - core.patterns) * core.scan_bits_per_pattern for core in soc
     }

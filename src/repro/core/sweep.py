@@ -346,115 +346,6 @@ def sweep_core_count(
     return _run_family(spec, _evaluate_core_count, runtime)
 
 
-# -- hierarchy ---------------------------------------------------------------
-
-def synthetic_hierarchical_soc(
-    name: str,
-    depth: int,
-    fanout: int = 2,
-    scan_cells_per_core: int = 400,
-    io_per_core: int = 48,
-    mean_patterns: int = 200,
-    pattern_spread: float = 1.0,
-    chip_io: int = 128,
-    seed: int = 0,
-) -> Soc:
-    """A complete ``fanout``-ary embedding tree of the given depth.
-
-    Every core (internal and leaf) carries scan and a test; parents pay
-    Eq. 5's child-terminal ExTest surcharge, so ISOCOST grows with
-    fanout — the hierarchy axis of the design space (p34932-style
-    structures, depth 2 in the ITC'02 suite).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if fanout < 1:
-        raise ValueError("fanout must be >= 1")
-    rng = random.Random(seed)
-
-    def patterns() -> int:
-        if pattern_spread == 0:
-            return mean_patterns
-        return max(1, round(mean_patterns * rng.lognormvariate(0.0, pattern_spread)))
-
-    cores: List[Core] = []
-    counter = [0]
-
-    def build(level: int) -> str:
-        counter[0] += 1
-        core_name = f"{name}_n{counter[0]}"
-        children = [build(level + 1) for _ in range(fanout)] if level < depth else []
-        cores.append(
-            Core(
-                name=core_name,
-                inputs=io_per_core // 2,
-                outputs=io_per_core - io_per_core // 2,
-                scan_cells=scan_cells_per_core,
-                patterns=patterns(),
-                children=children,
-            )
-        )
-        return core_name
-
-    roots = [build(1)]
-    cores.append(
-        Core(
-            name=f"{name}_top",
-            inputs=chip_io // 2,
-            outputs=chip_io - chip_io // 2,
-            scan_cells=0,
-            patterns=1,
-            children=roots,
-        )
-    )
-    return Soc(name, list(reversed(cores)), top=f"{name}_top")
-
-
-def hierarchy_depth_spec(
-    depths: Sequence[int],
-    fanout: int = 2,
-    seed: int = 0,
-) -> SweepSpec:
-    """Embedding-tree depth as the swept axis."""
-    return SweepSpec(
-        name="hierarchy_depth",
-        axes=(Axis.grid("depth", depths),),
-        seed=seed,
-        constants={"fanout": fanout, "seed": seed},
-    )
-
-
-def _evaluate_hierarchy_depth(point: SweepPointSpec) -> Dict[str, Any]:
-    params = point.params
-    depth = params["depth"]
-    soc = synthetic_hierarchical_soc(
-        name=f"hier_d{depth}",
-        depth=depth,
-        fanout=params["fanout"],
-        seed=params["seed"],
-    )
-    return analysis_record(float(depth), soc)
-
-
-def sweep_hierarchy_depth(
-    depths: Sequence[int],
-    fanout: int = 2,
-    seed: int = 0,
-    runtime: Optional[Any] = None,
-) -> List[SweepPoint]:
-    """TDV behaviour as the embedding tree deepens at fixed core size.
-
-    Deeper trees mean more hierarchical parents paying child-terminal
-    ExTest costs, raising the penalty share — the hierarchical analogue
-    of the wrapper-overhead sweep.
-    """
-    return _run_family(
-        hierarchy_depth_spec(depths, fanout=fanout, seed=seed),
-        _evaluate_hierarchy_depth,
-        runtime,
-    )
-
-
 # -- crossover search --------------------------------------------------------
 
 def crossover_spread(

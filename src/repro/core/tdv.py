@@ -31,7 +31,7 @@ def tdv_monolithic(soc: Soc, patterns: int) -> int:
 
     ``patterns`` is the pattern count of the flattened design's ATPG run
     (``T_mono``); it must satisfy the Eq. 2 lower bound, which the caller
-    can check with :func:`monolithic_pattern_lower_bound`.
+    can check with :meth:`~repro.soc.model.Soc.monolithic_patterns`.
     """
     if patterns < 0:
         raise ValueError(f"monolithic pattern count must be >= 0, got {patterns}")
@@ -90,16 +90,7 @@ def tdv_benefit(soc: Soc, monolithic_patterns: Optional[int] = None) -> int:
 
     ``monolithic_patterns`` defaults to the Eq. 2 lower bound.
     """
-    t_mono = (
-        monolithic_pattern_lower_bound(soc)
-        if monolithic_patterns is None
-        else monolithic_patterns
-    )
-    if t_mono < monolithic_pattern_lower_bound(soc):
-        raise ValueError(
-            f"monolithic pattern count {t_mono} violates the Eq. 2 lower bound "
-            f"{monolithic_pattern_lower_bound(soc)}"
-        )
+    t_mono = soc.monolithic_patterns(monolithic_patterns)
     return sum((t_mono - core.patterns) * core.scan_bits_per_pattern for core in soc)
 
 
@@ -116,11 +107,7 @@ def chip_io_residual(soc: Soc, monolithic_patterns: Optional[int] = None) -> int
     identity-derived and therefore silently includes this term; see
     :mod:`repro.core.decomposition`.
     """
-    t_mono = (
-        monolithic_pattern_lower_bound(soc)
-        if monolithic_patterns is None
-        else monolithic_patterns
-    )
+    t_mono = soc.monolithic_patterns(monolithic_patterns)
     return soc.chip_io_terminals * t_mono
 
 
@@ -182,11 +169,7 @@ def summarize(
     convention (benefit derived from the Eq. 6 identity, i.e. including
     the chip-I/O residual) and the strict Eq. 8 value.
     """
-    t_mono = (
-        monolithic_pattern_lower_bound(soc)
-        if monolithic_patterns is None
-        else monolithic_patterns
-    )
+    t_mono = soc.monolithic_patterns(monolithic_patterns)
     benefit = tdv_benefit(soc, t_mono)
     residual = chip_io_residual(soc, t_mono)
     if identity_consistent_benefit:

@@ -82,8 +82,7 @@ class ScheduleError(ReproError, AssertionError):
     """A test schedule violated a resource budget or its own shape.
 
     Raised by :meth:`repro.tam.Schedule.verify` (TAM wires
-    over-committed, zero-width or negative-duration slots) and
-    :func:`repro.tam.verify_power` (power budget exceeded).  Keeps
+    over-committed, zero-width or negative-duration slots).  Keeps
     ``AssertionError`` as a parent because these checks used to be bare
     asserts; existing ``except AssertionError`` call sites still work.
     """

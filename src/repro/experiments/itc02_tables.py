@@ -16,7 +16,7 @@ if TYPE_CHECKING:
     from ..runtime.session import Runtime
 
 from ..core.analysis import pattern_count_variation
-from ..core.report import format_table, hierarchy_table, percent
+from ..core.report import format_table, percent
 from ..core.tdv import TdvSummary, summarize
 from ..itc02.benchmarks import BENCHMARK_NAMES, load
 from ..itc02.paper_tables import (

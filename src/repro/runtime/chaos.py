@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -34,6 +35,13 @@ from typing import Any, Iterator, Optional
 from ..errors import ConfigError, FlakyWorkerError, WorkerCrashError
 
 CHAOS_ENV_VAR = "REPRO_CHAOS"
+
+#: The longest sleep a config may ask for.  ``time.sleep`` raises
+#: OverflowError above ``threading.TIMEOUT_MAX`` seconds, and OSError
+#: (EINVAL) just below it once the monotonic clock's reading is added
+#: to form the absolute deadline; half the limit (~146 years) leaves
+#: that clock ample room.
+MAX_SLEEP_SECONDS = threading.TIMEOUT_MAX / 2
 
 
 def _is_finite_real(value: Any) -> bool:
@@ -83,6 +91,11 @@ class ChaosConfig:
                 )
             if value < 0:
                 raise ConfigError(f"chaos {spec.name} must be >= 0, got {value}")
+        if self.hang_seconds > MAX_SLEEP_SECONDS:
+            raise ConfigError(
+                f"chaos hang_seconds must be <= {MAX_SLEEP_SECONDS:g}, "
+                f"got {self.hang_seconds}"
+            )
 
     @property
     def enabled(self) -> bool:

@@ -14,11 +14,12 @@ produced with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..errors import ConfigError, JobFailure
-from .chaos import ChaosConfig, _is_finite_real
+from .chaos import MAX_SLEEP_SECONDS, ChaosConfig, _is_finite_real
 from .config import AtpgConfig
 
 #: Seed offset applied per retry of a deterministic (timeout/budget)
@@ -93,12 +94,23 @@ class ExecutionPolicy:
             raise ConfigError(
                 f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
             )
+        # The last retry round, max_attempts - 1, sleeps longest.
+        try:
+            longest = self.backoff_for_round(self.max_attempts - 1)
+        except OverflowError:
+            longest = math.inf
+        if longest > MAX_SLEEP_SECONDS:
+            raise ConfigError(
+                f"backoff_seconds {self.backoff_seconds} doubled over "
+                f"{self.max_attempts} attempts sleeps longer than "
+                f"{MAX_SLEEP_SECONDS:g} s"
+            )
 
     def backoff_for_round(self, retry_round: int) -> float:
         """Sleep before retry round ``retry_round`` (1-based)."""
         if self.backoff_seconds <= 0:
             return 0.0
-        return self.backoff_seconds * (2 ** (retry_round - 1))
+        return math.ldexp(self.backoff_seconds, retry_round - 1)
 
     def retry_config(self, config: AtpgConfig, attempt: int, error: JobFailure) -> AtpgConfig:
         """The config for retry attempt ``attempt`` (1-based) after ``error``.

@@ -1,6 +1,5 @@
 """SOC data model: cores, hierarchy, wrappers, flattening."""
 
-from .builder import SocBuilder
 from .diagram import hierarchy_depth, hierarchy_summary, hierarchy_tree
 from .flatten import flat_bits_per_pattern, flatten
 from .hierarchy import (
@@ -19,14 +18,6 @@ from .shared_isolation import (
     tdv_modular_shared,
     tdv_penalty_shared,
 )
-from .wir import (
-    WirInstruction,
-    WirOverheadReport,
-    WirSession,
-    session_instruction_loads,
-    wir_overhead_report,
-    wir_session,
-)
 from .wrapper import (
     Wrapper,
     WrapperCell,
@@ -40,11 +31,7 @@ __all__ = [
     "Core",
     "SharingPoint",
     "Soc",
-    "SocBuilder",
     "SocModelError",
-    "WirInstruction",
-    "WirOverheadReport",
-    "WirSession",
     "Wrapper",
     "WrapperCell",
     "WrapperCellKind",
@@ -61,13 +48,10 @@ __all__ = [
     "isocost_table",
     "make_soc",
     "breakeven_sharing",
-    "session_instruction_loads",
     "shared_isocost",
     "sharing_sweep",
     "tdv_modular_shared",
     "tdv_penalty_shared",
-    "wir_overhead_report",
-    "wir_session",
     "wrapper_area_cells",
     "wrapper_cell_count",
 ]

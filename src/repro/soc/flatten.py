@@ -23,14 +23,7 @@ def flatten(soc: Soc, monolithic_patterns: Optional[int] = None) -> Soc:
     optimistic monolithic test of Eq. 3).
     """
     top = soc.top
-    patterns = (
-        soc.max_core_patterns if monolithic_patterns is None else monolithic_patterns
-    )
-    if patterns < soc.max_core_patterns:
-        raise ValueError(
-            f"monolithic pattern count {patterns} violates the Eq. 2 lower "
-            f"bound {soc.max_core_patterns}"
-        )
+    patterns = soc.monolithic_patterns(monolithic_patterns)
     flat_core = Core(
         name=f"{soc.name}_flat",
         inputs=top.inputs,

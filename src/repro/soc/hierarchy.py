@@ -71,17 +71,3 @@ def wrapper_cell_count(soc: Soc, core_name: str) -> int:
     scheme).
     """
     return isocost(soc, core_name)
-
-
-def validate_schedulable(soc: Soc) -> None:
-    """Check the modular-test preconditions the analysis relies on.
-
-    Every core must be testable stand-alone: it needs a non-negative
-    pattern count, and hierarchical parents must not share children (the
-    :class:`~repro.soc.model.Soc` constructor already enforces single
-    parenthood and acyclicity).  Kept as an explicit hook so callers can
-    assert the preconditions where they matter.
-    """
-    for core in soc:
-        if core.patterns < 0:  # pragma: no cover - Core.__post_init__ blocks this
-            raise ValueError(f"core {core.name!r} has negative pattern count")

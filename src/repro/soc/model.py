@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from ..errors import ReproError
+from ..errors import ConfigError, ReproError
 
 
 class SocModelError(ReproError, ValueError):
@@ -211,6 +211,22 @@ class Soc:
     def max_core_patterns(self) -> int:
         """Maximum stand-alone pattern count over all cores (Eq. 2 bound)."""
         return max(core.patterns for core in self)
+
+    def monolithic_patterns(self, patterns: Optional[int] = None) -> int:
+        """``T_mono``: ``patterns``, or the Eq. 2 bound when None.
+
+        Raises :class:`~repro.errors.ConfigError` when ``patterns`` is
+        below the Eq. 2 lower bound :attr:`max_core_patterns`.
+        """
+        bound = self.max_core_patterns
+        if patterns is None:
+            return bound
+        if patterns < bound:
+            raise ConfigError(
+                f"monolithic pattern count {patterns} violates the Eq. 2 "
+                f"lower bound {bound}"
+            )
+        return patterns
 
     def pattern_counts(self) -> List[int]:
         """Stand-alone pattern counts of all cores, in insertion order."""

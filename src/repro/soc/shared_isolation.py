@@ -27,10 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..core.tdv import (
-    monolithic_pattern_lower_bound,
-    tdv_monolithic,
-)
+from ..core.tdv import tdv_monolithic
 from .model import Soc
 
 
@@ -83,11 +80,7 @@ def sharing_sweep(
     """Modular TDV across the dedicated-to-shared isolation spectrum."""
     if fractions is None:
         fractions = [0.0, 0.25, 0.5, 0.75, 1.0]
-    t_mono = (
-        monolithic_pattern_lower_bound(soc)
-        if monolithic_patterns is None
-        else monolithic_patterns
-    )
+    t_mono = soc.monolithic_patterns(monolithic_patterns)
     mono = tdv_monolithic(soc, t_mono)
     points = []
     for sharing in fractions:

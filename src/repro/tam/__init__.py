@@ -37,13 +37,6 @@ from .architectures import (
     multiplexing_architecture,
 )
 from .idle_bits import IdleBitReport, idle_bit_report, idle_bit_sweep, useful_bits_check
-from .power import (
-    CorePower,
-    default_power_model,
-    peak_power,
-    schedule_power_constrained,
-    verify_power,
-)
 from .problem import (
     DEFAULT_CANDIDATE_WIDTHS,
     SCHEDULERS,
@@ -82,7 +75,6 @@ __all__ = [
     "AbortOnFailStudy",
     "ArchitectureResult",
     "CoOptResult",
-    "CorePower",
     "CoreTestSpec",
     "DEFAULT_CANDIDATE_WIDTHS",
     "FailProbability",
@@ -100,7 +92,6 @@ __all__ = [
     "cooptimize",
     "core_specs_from_soc",
     "daisychain_architecture",
-    "default_power_model",
     "design_space",
     "design_wrapper",
     "distribution_architecture",
@@ -114,15 +105,12 @@ __all__ = [
     "pareto_front",
     "pareto_widths",
     "partition_scan_lengths",
-    "peak_power",
     "schedule_best_fit",
     "schedule_greedy",
-    "schedule_power_constrained",
     "schedule_serial",
     "spread_level",
     "study",
     "useful_bits_check",
-    "verify_power",
     "width_saturation",
     "wrapper_bottlenecks",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional
 
-from ..core.tdv import monolithic_pattern_lower_bound, tdv_modular, tdv_monolithic
+from ..core.tdv import tdv_monolithic
 from ..soc.model import Soc
 from .architectures import CoreTestSpec, core_specs_from_soc, _wrapper
 from .types import TamResult
@@ -89,11 +89,7 @@ def idle_bit_report(
         useful_modular += spec.patterns * design.useful_bits_per_pattern()
         delivered_modular += spec.patterns * design.shifted_bits_per_pattern()
 
-    t_mono = (
-        monolithic_pattern_lower_bound(soc)
-        if monolithic_patterns is None
-        else monolithic_patterns
-    )
+    t_mono = soc.monolithic_patterns(monolithic_patterns)
     chain_count = monolithic_chain_count or tam_width
     chains = balanced_chain_lengths(soc.total_scan_cells, chain_count)
     longest = max(chains) if chains else 0

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.atpg import compiled
 from repro.atpg.compiled import CompiledCircuit
-from repro.atpg.engine import generate_n_detect_tests, generate_tests
+from repro.atpg.engine import generate_tests
 from repro.atpg.faults import collapse_faults, full_fault_universe
 from repro.atpg.faultsim import SIM_STATS, reset_sim_stats
 from repro.atpg.logicsim import (
@@ -166,19 +165,6 @@ def test_generate_tests_backend_equality(lanes):
     assert wide.fault_coverage == reference.fault_coverage
     assert wide.detected_count == reference.detected_count
     assert wide.untestable == reference.untestable
-
-
-def test_n_detect_backend_equality(monkeypatch):
-    netlist = _circuit(8, gates=300)
-    config = AtpgConfig(seed=8)
-    results = []
-    for lanes in (1, 8):
-        monkeypatch.setattr(compiled, "lanes_for", lambda nets, lanes=lanes: lanes)
-        results.append(generate_n_detect_tests(netlist, n_detect=2, config=config))
-    reference, wide = results
-    assert [p.assignments for p in wide.test_set.patterns] == \
-        [p.assignments for p in reference.test_set.patterns]
-    assert wide.fault_coverage == reference.fault_coverage
 
 
 # -- observability --------------------------------------------------------

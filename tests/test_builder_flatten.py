@@ -1,67 +1,10 @@
-"""Unit tests for SocBuilder and flattening (repro.soc.builder / .flatten)."""
+"""Unit tests for flattening (repro.soc.flatten)."""
 
 import pytest
 
 from repro.core import tdv_monolithic_optimistic
-from repro.soc import Core, Soc, SocBuilder, SocModelError, flat_bits_per_pattern, flatten
+from repro.soc import flat_bits_per_pattern, flatten
 from repro.soc.hierarchy import core_tdv
-
-
-class TestSocBuilder:
-    def test_build_flat_soc(self):
-        soc = (
-            SocBuilder("s")
-            .add_top("top", inputs=4, outputs=4, patterns=1, children=["a"])
-            .add_core("a", inputs=2, outputs=2, scan_cells=10, patterns=5)
-            .build()
-        )
-        assert soc.top_name == "top"
-        assert soc["a"].scan_cells == 10
-
-    def test_embed_resolves_forward_references(self):
-        soc = (
-            SocBuilder("s")
-            .embed("p", "c")
-            .add_core("p", inputs=1, outputs=1)
-            .add_core("c", inputs=1, outputs=1)
-            .build()
-        )
-        assert [child.name for child in soc.children_of("p")] == ["c"]
-
-    def test_embed_merges_with_inline_children(self):
-        soc = (
-            SocBuilder("s")
-            .add_core("p", children=["c1"])
-            .add_core("c1")
-            .add_core("c2")
-            .embed("p", "c2")
-            .build()
-        )
-        assert soc["p"].children == ["c1", "c2"]
-
-    def test_double_embed_rejected(self):
-        builder = (
-            SocBuilder("s")
-            .add_core("p", children=["c"])
-            .add_core("c")
-            .embed("p", "c")
-        )
-        with pytest.raises(SocModelError, match="twice"):
-            builder.build()
-
-    def test_two_tops_rejected(self):
-        builder = SocBuilder("s").add_top("t1")
-        with pytest.raises(SocModelError, match="already has top"):
-            builder.add_top("t2")
-
-    def test_unknown_embed_parent_rejected(self):
-        builder = SocBuilder("s").add_core("a").embed("ghost", "a")
-        with pytest.raises(SocModelError, match="unknown core"):
-            builder.build()
-
-    def test_empty_builder_rejected(self):
-        with pytest.raises(SocModelError, match="no cores"):
-            SocBuilder("s").build()
 
 
 class TestFlatten:

@@ -13,6 +13,8 @@ from repro.itc02 import load
 from repro.itc02.format import save_soc_file
 from repro.synth import GeneratorSpec, generate_circuit
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 @pytest.fixture
 def soc_file(tmp_path):
@@ -209,10 +211,29 @@ class TestErrorsAreOneLine:
     def test_bad_soc_file(self, tmp_path, text, message):
         path = tmp_path / "bad.soc"
         path.write_text(text)
+        self.assert_one_line_error(["tdv", str(path)], message)
+
+    @pytest.mark.parametrize("args,message", [
+        (["tdv", "{d695}", "--mono-patterns", "1"],
+         "monolithic pattern count 1 violates the Eq. 2 lower bound 234"),
+        (["tdv", "{d695}", "--mono-patterns", "1", "--json"],
+         "monolithic pattern count 1 violates the Eq. 2 lower bound 234"),
+        (["vectors", "{c17}", "--chains", "0", "--no-cache"],
+         "chain_count must be >= 1, got 0"),
+    ], ids=["tdv-mono-patterns", "tdv-json-mono-patterns", "vectors-chains"])
+    def test_out_of_range_number(self, tmp_path, c17, args, message):
+        c17_path = tmp_path / "c17.bench"
+        save_bench_file(c17_path, c17)
+        d695 = SRC / "repro" / "itc02" / "data" / "d695.soc"
+        args = [arg.format(d695=d695, c17=c17_path) for arg in args]
+        self.assert_one_line_error(args, message)
+
+    @staticmethod
+    def assert_one_line_error(args, message):
         env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = str(SRC)
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "tdv", str(path)],
+            [sys.executable, "-m", "repro", *args],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert completed.returncode == 2

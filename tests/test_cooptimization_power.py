@@ -1,4 +1,4 @@
-"""Unit tests for wrapper/TAM co-optimization and power scheduling."""
+"""Unit tests for wrapper/TAM co-optimization."""
 
 import pytest
 
@@ -6,13 +6,9 @@ from repro.tam import (
     CoreTestSpec,
     TamProblem,
     cooptimize,
-    default_power_model,
     design_space,
     pareto_widths,
-    peak_power,
     schedule_greedy,
-    schedule_power_constrained,
-    verify_power,
     width_saturation,
 )
 
@@ -80,56 +76,3 @@ class TestCooptimize:
         volumes = [r.delivered_bits for r in results]
         assert times == sorted(times, reverse=True)
         assert volumes == sorted(volumes)
-
-
-class TestPowerScheduling:
-    def test_budget_respected(self, specs):
-        power = default_power_model(specs)
-        budget = max(power.values()) * 1.5
-        schedule = schedule_power_constrained(specs, 16, budget, power)
-        verify_power(schedule, power, budget)
-        assert peak_power(schedule, power) <= budget
-
-    def test_tight_budget_serializes(self, specs):
-        """A budget fitting exactly one core at a time forbids overlap."""
-        power = {spec.name: 100.0 for spec in specs}
-        schedule = schedule_power_constrained(specs, 16, 100.0, power)
-        tests = sorted(schedule.tests, key=lambda t: t.start)
-        for prev, cur in zip(tests, tests[1:]):
-            assert cur.start >= prev.end
-
-    def test_loose_budget_allows_parallelism(self, specs):
-        power = {spec.name: 1.0 for spec in specs}
-        tight = schedule_power_constrained(specs, 16, 1.0, power)
-        loose = schedule_power_constrained(specs, 16, 100.0, power)
-        assert loose.makespan <= tight.makespan
-        starts = {t.start for t in loose.tests}
-        assert len(starts) < len(loose.tests) or loose.makespan < tight.makespan
-
-    def test_oversized_core_rejected(self, specs):
-        power = default_power_model(specs)
-        small_budget = min(power.values()) / 2
-        with pytest.raises(ValueError, match="exceeds the power budget"):
-            schedule_power_constrained(specs, 16, small_budget, power)
-
-    def test_default_power_model_tracks_cell_count(self, specs):
-        power = default_power_model(specs)
-        assert power["b"] == 200 + 20 + 30
-        assert power["c"] == 30 + 5 + 5
-
-    def test_power_and_wires_both_bind(self, specs):
-        """With 4 wires at width 4 only one test runs at a time anyway;
-        adding a tight power budget must not deadlock."""
-        power = default_power_model(specs)
-        schedule = schedule_power_constrained(
-            specs, tam_width=4, power_budget=max(power.values()),
-            power=power, preferred_width=4,
-        )
-        schedule.verify()
-        verify_power(schedule, power, max(power.values()))
-
-    def test_negative_power_rejected(self):
-        from repro.tam import CorePower
-
-        with pytest.raises(ValueError):
-            CorePower("x", -1.0)

@@ -163,14 +163,15 @@ class TestGateLevelDelivery:
         import random
 
         from repro.atpg import export_program, generate_tests
-        from repro.circuit import (
-            insert_scan,
+        from repro.circuit import insert_scan
+        from repro.synth import GeneratorSpec, generate_circuit
+
+        from .scan_oracle import (
+            settle_combinational,
             shift_in_sequence,
             simulate_sequence,
             stitch_scan_chains,
         )
-        from repro.circuit.seqsim import settle_combinational
-        from repro.synth import GeneratorSpec, generate_circuit
 
         netlist = generate_circuit(
             GeneratorSpec(name="deliver", inputs=6, outputs=4, flip_flops=9,

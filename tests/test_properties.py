@@ -407,8 +407,9 @@ def test_run_length_round_trip_and_cost_model(stream, field_bits):
 def test_stitched_shift_loads_arbitrary_state(seed, chain_count, balanced):
     """For random circuits, chain counts and loads, gate-level shifting
     lands exactly the abstract scan state."""
-    from repro.circuit import (
-        insert_scan,
+    from repro.circuit import insert_scan
+
+    from .scan_oracle import (
         shift_in_sequence,
         simulate_sequence,
         stitch_scan_chains,

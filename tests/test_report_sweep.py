@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core import (
+    analyze,
     comparison_table,
     crossover_spread,
+    decompose,
     format_table,
     hierarchy_table,
     paper_vs_measured_table,
@@ -16,6 +18,7 @@ from repro.core import (
     sweep_wrapper_overhead,
     synthetic_soc,
 )
+from repro.soc import Core, Soc, hierarchy_depth, isocost
 
 
 class TestFormatting:
@@ -128,42 +131,29 @@ class TestSweeps:
             crossover_spread(soc_factory=always_wins)
 
 
-class TestHierarchySweep:
-    def test_tree_size(self):
-        from repro.core import synthetic_hierarchical_soc
+class TestDeepHierarchy:
+    """Eq. 5 and the Eq. 6 identity on a depth-3 embedding tree."""
 
-        soc = synthetic_hierarchical_soc("h", depth=3, fanout=2, seed=1)
-        # Complete binary tree of depth 3 (7 nodes) plus the top.
-        assert len(soc) == 8
-        from repro.soc import hierarchy_depth
+    @pytest.fixture
+    def deep_soc(self):
+        return Soc("deep", [
+            Core("top", inputs=64, outputs=64, patterns=1, children=["r"]),
+            Core("r", inputs=24, outputs=24, scan_cells=400, patterns=300,
+                 children=["m1", "m2"]),
+            Core("m1", inputs=24, outputs=24, scan_cells=400, patterns=120,
+                 children=["leaf"]),
+            Core("m2", inputs=24, outputs=24, scan_cells=400, patterns=80),
+            Core("leaf", inputs=24, outputs=24, scan_cells=400, patterns=500),
+        ], top="top")
 
-        assert hierarchy_depth(soc) == 3
+    def test_parents_pay_child_terminals(self, deep_soc):
+        assert hierarchy_depth(deep_soc) == 3
+        # Own 48 terminals plus 48 per direct child.
+        assert [isocost(deep_soc, name) for name in ("r", "m1", "leaf")] == \
+            [144, 96, 48]
 
-    def test_parents_pay_child_terminals(self):
-        from repro.core import synthetic_hierarchical_soc
-        from repro.soc import isocost
-
-        soc = synthetic_hierarchical_soc("h", depth=2, fanout=3, seed=2)
-        root = soc.children_of(soc.top_name)[0]
-        leaf = soc.children_of(root.name)[0]
-        assert isocost(soc, root.name) > isocost(soc, leaf.name)
-
-    def test_sweep_runs_and_identity_holds(self):
-        from repro.core import decompose, sweep_hierarchy_depth
-        from repro.core.sweep import synthetic_hierarchical_soc
-
-        for point in sweep_hierarchy_depth([1, 2, 3]):
-            assert point.analysis.summary.tdv_modular > 0
-        soc = synthetic_hierarchical_soc("h", depth=3, fanout=2, seed=0)
-        decomposition = decompose(soc)
-        assert decomposition.identity_error() == decomposition.residual
-
-    def test_invalid_parameters_rejected(self):
-        import pytest
-
-        from repro.core import synthetic_hierarchical_soc
-
-        with pytest.raises(ValueError):
-            synthetic_hierarchical_soc("h", depth=0)
-        with pytest.raises(ValueError):
-            synthetic_hierarchical_soc("h", depth=1, fanout=0)
+    def test_identity_holds(self, deep_soc):
+        assert analyze(deep_soc).summary.tdv_modular > 0
+        for t_mono in (None, 900):
+            decomposition = decompose(deep_soc, monolithic_patterns=t_mono)
+            assert decomposition.identity_error() == decomposition.residual

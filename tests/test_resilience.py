@@ -187,6 +187,8 @@ class TestChaosConfig:
         {"hang_seconds": 10**400},
         {"hang_seconds": True},
         {"hang_seconds": "0.5"},
+        {"hang_seconds": 1e300, "hang_attempts": 1},  # time.sleep overflows
+        {"hang_seconds": 9.3e9},  # just above threading.TIMEOUT_MAX
     ])
     def test_mistyped_fields_are_config_errors(self, kwargs):
         with pytest.raises(ConfigError):
@@ -195,6 +197,7 @@ class TestChaosConfig:
     @pytest.mark.parametrize("text", [
         "hang_seconds=nan,hang_attempts=1",
         "hang_seconds=inf,hang_attempts=1",
+        "hang_seconds=1e300,hang_attempts=1",
     ])
     def test_non_finite_hang_rejected_from_env(self, text):
         with pytest.raises(ConfigError):
@@ -252,6 +255,11 @@ class TestExecutionPolicy:
         {"backtrack_budget": 1.5},
         {"backtrack_budget": True},
         {"chaos": None},
+        # The longest backoff sleep, before round max_attempts - 1,
+        # would overflow time.sleep.
+        {"backoff_seconds": 1e300},
+        {"backoff_seconds": 1.0, "max_attempts": 64},
+        {"backoff_seconds": 1e-9, "max_attempts": 10**6},
     ])
     def test_mistyped_fields_are_config_errors(self, kwargs):
         with pytest.raises(ConfigError):

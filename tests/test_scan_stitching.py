@@ -4,16 +4,15 @@ import random
 
 import pytest
 
-from repro.circuit import (
-    check_equivalence,
-    insert_scan,
-    netlist_stats,
+from repro.circuit import insert_scan, netlist_stats
+from repro.synth import GeneratorSpec, generate_circuit
+
+from .scan_oracle import (
+    settle_combinational,
     shift_in_sequence,
     simulate_sequence,
     stitch_scan_chains,
 )
-from repro.circuit.seqsim import settle_combinational
-from repro.synth import GeneratorSpec, generate_circuit
 
 
 @pytest.fixture(scope="module")

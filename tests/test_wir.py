@@ -1,77 +1,4 @@
-"""Unit tests for WIR instruction-overhead modeling (repro.soc.wir)."""
-
-import pytest
-
-from repro.itc02 import load_all
-from repro.soc import (
-    Core,
-    Soc,
-    WirInstruction,
-    session_instruction_loads,
-    wir_overhead_report,
-    wir_session,
-)
-from repro.soc.wir import suite_wir_overheads
-
-
-class TestInstructionSet:
-    def test_width_covers_all_instructions(self):
-        width = WirInstruction.width()
-        for member in WirInstruction:
-            assert member.value < (1 << width)
-
-    def test_opcodes_distinct(self):
-        values = [member.value for member in WirInstruction]
-        assert len(values) == len(set(values))
-
-
-class TestSessionLoads:
-    def test_flat_soc(self, flat_soc):
-        # Top: 3 children, no own wrapper -> 2*3; each leaf: 2*1.
-        assert session_instruction_loads(flat_soc) == 6 + 3 * 2
-
-    def test_hierarchical_soc(self, hier_soc):
-        # top: 2 children (no own wrapper) -> 4; p: self + 2 children -> 6;
-        # q, x, y: 2 each.
-        assert session_instruction_loads(hier_soc) == 4 + 6 + 3 * 2
-
-    def test_scales_with_cores_not_patterns(self):
-        small = Soc("s", [
-            Core("top", inputs=4, outputs=4, patterns=1, children=["a"]),
-            Core("a", scan_cells=10, patterns=10),
-        ], top="top")
-        big = Soc("b", [
-            Core("top", inputs=4, outputs=4, patterns=1, children=["a"]),
-            Core("a", scan_cells=10_000, patterns=100_000),
-        ], top="top")
-        assert session_instruction_loads(small) == session_instruction_loads(big)
-
-    def test_session_total_bits(self, flat_soc):
-        session = wir_session(flat_soc)
-        assert session.total_bits == (
-            session.instruction_bits * session.loads
-        )
-
-
-class TestOverhead:
-    def test_negligible_on_every_benchmark(self):
-        """The justification for the paper ignoring WIR traffic: under
-        0.1% of modular TDV on every ITC'02 SOC."""
-        overheads = suite_wir_overheads(list(load_all().values()))
-        assert set(overheads) == set(load_all())
-        for name, fraction in overheads.items():
-            assert fraction < 1e-3, name
-
-    def test_report_fields(self, hier_soc):
-        report = wir_overhead_report(hier_soc)
-        assert report.tdv_modular > 0
-        assert report.overhead_fraction == pytest.approx(
-            report.session.total_bits / report.tdv_modular
-        )
-
-    def test_zero_tdv_soc(self):
-        soc = Soc("z", [Core("only", inputs=1, outputs=1, patterns=0)])
-        assert wir_overhead_report(soc).overhead_fraction == float("inf")
+"""Unit tests for the shared-isolation relaxation (repro.soc.shared_isolation)."""
 
 
 class TestSharedIsolation:
