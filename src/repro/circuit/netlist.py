@@ -12,8 +12,8 @@ view, and everything downstream (cones, ATPG) works on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import NetlistParseError
 from .gates import GateType, Trit, evaluate_gate

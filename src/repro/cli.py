@@ -38,6 +38,7 @@ from .flags import (
     add_runtime_arguments,
     experiment_options,
     maybe_profile,
+    positive_int,
     report_runtime,
     runtime_from_args,
 )
@@ -91,8 +92,6 @@ def _cmd_vectors(args: argparse.Namespace) -> int:
     netlist = load_netlist(args.design)
     runtime = runtime_from_args(args, seed=args.seed)
     result = runtime.generate(netlist)
-    # Exported before the manifest is reported: a bad --chains then
-    # leaves its one error line alone on stderr.
     program = export_program(netlist, result, chain_count=args.chains)
     report_runtime(runtime)
     text = dump_vectors(program)
@@ -166,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     vectors.add_argument("design")
     vectors.add_argument("--seed", type=int, default=0)
-    vectors.add_argument("--chains", type=int, default=1)
+    vectors.add_argument("--chains", type=positive_int, default=1, metavar="N",
+                         help="scan chains to export (default: 1)")
     vectors.add_argument("-o", "--output", default=None)
     add_runtime_arguments(vectors)
     vectors.set_defaults(func=_cmd_vectors)

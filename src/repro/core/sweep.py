@@ -73,7 +73,9 @@ def synthetic_soc(
         raise ValueError("mean_patterns must be >= 1")
     if pattern_spread < 0:
         raise ValueError("pattern_spread must be >= 0")
-    shared_rng = random.Random(seed)
+    # Only the sequential path shares one generator; the per-core path
+    # seeds its own, so it builds none here.
+    shared_rng = None if core_seed_streams else random.Random(seed)
     cores = [
         Core(
             name=f"{name}_top",

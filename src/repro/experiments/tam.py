@@ -63,7 +63,11 @@ REFERENCE_STRATEGY = "balanced"
 @lru_cache(maxsize=64)
 def _problem_cores(soc_name: str, chain_count: int):
     """One SOC's core specs under one chain-count assumption (cached
-    per worker process — every width/scheduler point reuses them)."""
+    per worker process — every width/scheduler point reuses them).
+
+    The cache also keeps each spec's wrapper memo alive for the life of
+    the process, so a later run over the same SOC computes no wrapper
+    bottleneck or staircase again."""
     from ..itc02 import load
     from ..tam import core_specs_from_soc
 

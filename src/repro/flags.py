@@ -40,7 +40,8 @@ def _parsed(kind: type, text: str, expected: str):
         raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
 
-def _worker_count(text: str) -> int:
+def positive_int(text: str) -> int:
+    """An ``int`` of at least 1 (``--workers``, ``repro vectors --chains``)."""
     value = _parsed(int, text, "an integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -88,7 +89,7 @@ def _str_list(text: str) -> List[str]:
 def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     """The execution flags shared by every ATPG-running subcommand."""
     parser.add_argument(
-        "--workers", type=_worker_count, default=1, metavar="N",
+        "--workers", type=positive_int, default=1, metavar="N",
         help="worker processes for per-core/per-circuit ATPG fan-out "
              "(default: 1, serial)",
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from .model import Core, Soc
+from .model import Soc
 
 
 def isocost(soc: Soc, core_name: str, chip_pin_wrappers: bool = True) -> int:

@@ -30,7 +30,6 @@ can assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import (
     Any,
     ClassVar,
@@ -130,23 +129,15 @@ class TamProblem:
         """The same cores under a different TAM budget."""
         return TamProblem(cores=self.cores, tam_width=tam_width)
 
-    @cached_property
-    def _staircases(self) -> Dict[str, List[ParetoPoint]]:
-        """Each core's staircase, built once for this instance: the
-        best-fit packer and :meth:`lower_bound` both read it."""
+    def pareto_sets(self) -> Dict[str, List[ParetoPoint]]:
+        """Each core's Pareto-optimal width staircase up to the TAM width."""
         return {
             core.name: pareto_widths(core, self.tam_width) for core in self.cores
         }
 
-    def pareto_sets(self) -> Dict[str, List[ParetoPoint]]:
-        """Each core's Pareto-optimal width staircase up to the TAM width."""
-        return {name: list(points) for name, points in self._staircases.items()}
-
     def lower_bound(self) -> int:
         """A makespan no schedule of this problem can beat."""
-        return makespan_lower_bound(
-            self.cores, self.tam_width, staircases=self._staircases
-        )
+        return makespan_lower_bound(self.cores, self.tam_width)
 
     def useful_bits(self) -> int:
         """Care-capable bits of the whole session (width-independent)."""
@@ -246,9 +237,7 @@ def _solve(
             raise ConfigError("no candidate width fits the TAM")
         return schedule
     if scheduler == "binpack":
-        packed = schedule_best_fit(
-            problem.cores, problem.tam_width, staircases=problem._staircases
-        )
+        packed = schedule_best_fit(problem.cores, problem.tam_width)
         baseline = _greedy_enumeration(problem, candidate_widths)
         # Portfolio: never worse than the greedy baseline, by construction.
         if baseline is not None and baseline.makespan < packed.makespan:

@@ -28,14 +28,10 @@ bad parameters, :class:`~repro.errors.ScheduleError` from
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError
 from .types import CoreTestSpec, ParetoPoint, Schedule, ScheduledTest, pareto_widths
-
-#: Core name -> its Pareto staircase up to the TAM width, as
-#: :func:`~repro.tam.types.pareto_widths` builds it.
-Staircases = Mapping[str, Sequence[ParetoPoint]]
 
 __all__ = [
     "Schedule",
@@ -45,12 +41,6 @@ __all__ = [
     "schedule_greedy",
     "schedule_serial",
 ]
-
-
-def _build_staircases(
-    specs: Sequence[CoreTestSpec], tam_width: int
-) -> Staircases:
-    return {spec.name: pareto_widths(spec, tam_width) for spec in specs}
 
 
 def schedule_serial(specs: Sequence[CoreTestSpec], tam_width: int) -> Schedule:
@@ -107,8 +97,6 @@ def schedule_best_fit(
     specs: Sequence[CoreTestSpec],
     tam_width: int,
     candidate_widths: Optional[Sequence[int]] = None,
-    *,
-    staircases: Optional[Staircases] = None,
 ) -> Schedule:
     """Best-fit-decreasing rectangle packing over Pareto width candidates.
 
@@ -130,9 +118,9 @@ def schedule_best_fit(
 
     Width safety is structural — placement assigns concrete wires, so
     the budget cannot be exceeded — and :meth:`Schedule.verify` checks
-    it anyway.  ``staircases`` passes the cores' staircases when the
-    caller already built them (a :class:`~repro.tam.problem.TamProblem`
-    builds them once for the packer and its lower bound).
+    it anyway.  Each spec keeps its own staircase
+    (:func:`~repro.tam.types.pareto_widths`), so the packer and
+    :func:`makespan_lower_bound` compute it once between them.
     """
     if tam_width < 1:
         raise ConfigError(f"tam_width must be >= 1, got {tam_width}")
@@ -148,11 +136,9 @@ def schedule_best_fit(
                 f"fits a TAM of width {tam_width}"
             )
 
-    if staircases is None:
-        staircases = _build_staircases(specs, tam_width)
     candidates: Dict[str, Sequence[ParetoPoint]] = {}
     for spec in specs:
-        staircase = staircases[spec.name]
+        staircase = pareto_widths(spec, tam_width)
         if allowed is not None:
             kept = [p for p in staircase if p.width in allowed]
             # A restricted width set may skip every staircase width; fall
@@ -207,29 +193,21 @@ def schedule_best_fit(
     return schedule
 
 
-def makespan_lower_bound(
-    specs: Sequence[CoreTestSpec],
-    tam_width: int,
-    *,
-    staircases: Optional[Staircases] = None,
-) -> int:
+def makespan_lower_bound(specs: Sequence[CoreTestSpec], tam_width: int) -> int:
     """A simple lower bound no schedule at this width can beat.
 
     The larger of (a) the slowest core's best achievable time — some
     test must run that long — and (b) the total minimum rectangle area
-    spread perfectly over all wires.  ``staircases`` passes the cores'
-    staircases when the caller already built them.
+    spread perfectly over all wires.
     """
     if tam_width < 1:
         raise ConfigError(f"tam_width must be >= 1, got {tam_width}")
     if not specs:
         return 0
-    if staircases is None:
-        staircases = _build_staircases(specs, tam_width)
     best_times = []
     min_area = 0
     for spec in specs:
-        staircase = staircases[spec.name]
+        staircase = pareto_widths(spec, tam_width)
         best_times.append(staircase[-1].test_time_cycles)
         min_area += min(point.area for point in staircase)
     return max(max(best_times), math.ceil(min_area / tam_width))

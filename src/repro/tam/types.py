@@ -65,12 +65,38 @@ def _is_count(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+class _WrapperMemo:
+    """One core's wrapper answers, kept for the widths asked so far.
+
+    ``bottlenecks`` maps a width, capped at ``saturation``, to its
+    :func:`~repro.tam.wrapper_design.wrapper_bottlenecks` pair.
+    ``staircase`` is ``(scanned, points)``: the Pareto points over the
+    widths ``1..scanned``.  Both grow only by rebinding a new value,
+    never in place, so two threads extending one memo can repeat work
+    but never see a half-built value.
+    """
+
+    __slots__ = ("saturation", "bottlenecks", "staircase")
+
+    def __init__(self, saturation: int) -> None:
+        self.saturation = saturation
+        self.bottlenecks: Dict[int, Tuple[int, int]] = {}
+        self.staircase: Tuple[int, Tuple[ParetoPoint, ...]] = (0, ())
+
+
 @dataclass(frozen=True)
 class CoreTestSpec:
     """What TAM design needs to know about one core's test.
 
     Pattern, cell and chain-length counts must be non-negative ``int``
     values; anything else raises :class:`~repro.errors.ConfigError`.
+    ``scan_chains`` is stored as a tuple, so the caller's list can
+    change afterwards without changing the spec.
+
+    Each spec memoizes its wrapper bottlenecks per width and its Pareto
+    staircase (:func:`pareto_widths`), so every problem, scheduler and
+    lower bound over the same spec computes each width once.  The memo
+    is not a dataclass field: equality, hashing and ``repr`` ignore it.
     """
 
     name: str
@@ -87,11 +113,20 @@ class CoreTestSpec:
                     f"core {self.name!r}: {attr} must be an int >= 0, "
                     f"got {value!r}"
                 )
+        # A copy, so the memo below cannot go stale under the caller's
+        # list; the length check then reads exactly what is stored.
+        object.__setattr__(self, "scan_chains", tuple(self.scan_chains))
         if not all(_is_count(length) for length in self.scan_chains):
             raise ConfigError(
                 f"core {self.name!r}: scan chain lengths must be ints >= 0, "
                 f"got {list(self.scan_chains)!r}"
             )
+        # The saturation width, where pareto_widths stops: past it both
+        # bottlenecks stay the same.
+        widest_path = self.total_scan + max(self.input_cells, self.output_cells)
+        floor = max(max(self.scan_chains, default=0), 1)
+        saturation = max(1, len(self.scan_chains), -(-widest_path // floor))
+        object.__setattr__(self, "_memo", _WrapperMemo(saturation))
 
     @property
     def total_scan(self) -> int:
@@ -110,25 +145,40 @@ class CoreTestSpec:
             self.output_cells, tam_width,
         )
 
+    def _bottlenecks(self, tam_width: int) -> Tuple[int, int]:
+        """``(max_scan_in, max_scan_out)`` at ``tam_width``, memoized.
+
+        Keyed at ``min(tam_width, saturation)``; a width below 1 is never
+        a key, so it reaches :func:`wrapper_bottlenecks` and its
+        :class:`~repro.errors.ConfigError`.
+        """
+        memo = self._memo
+        width = min(tam_width, memo.saturation)
+        known = memo.bottlenecks
+        pair = known.get(width)
+        if pair is None:
+            pair = wrapper_bottlenecks(
+                self.scan_chains, self.input_cells, self.output_cells, width
+            )
+            memo.bottlenecks = {**known, width: pair}
+        return pair
+
     def test_time_cycles(self, tam_width: int) -> int:
         """Shift-dominated test time at ``tam_width`` wires.
 
         Uses the closed-form bottleneck computation
         (:func:`repro.tam.wrapper_design.wrapper_bottlenecks`) instead
-        of materializing the wrapper — same number, much cheaper, which
-        is what lets the bin-packer enumerate Pareto staircases for
-        every core of every ITC'02 SOC.
+        of materializing the wrapper — same number, much cheaper — and
+        makes it once per width for the life of the spec, which is what
+        lets the bin-packer enumerate Pareto staircases for every core
+        of every ITC'02 SOC.
         """
-        si, so = wrapper_bottlenecks(
-            self.scan_chains, self.input_cells, self.output_cells, tam_width
-        )
+        si, so = self._bottlenecks(tam_width)
         return (1 + max(si, so)) * self.patterns + min(si, so)
 
     def shifted_bits(self, tam_width: int) -> int:
         """Delivered (idle-padded) bits of the whole test at this width."""
-        si, so = wrapper_bottlenecks(
-            self.scan_chains, self.input_cells, self.output_cells, tam_width
-        )
+        si, so = self._bottlenecks(tam_width)
         return self.patterns * tam_width * (si + so)
 
 
@@ -157,22 +207,26 @@ def pareto_widths(spec: CoreTestSpec, max_width: int) -> List[ParetoPoint]:
     output cells fit under the longest chain (under one cell per wire
     for a core without scan).  Every wider wrapper has the same
     bottlenecks, so no wider width can join the staircase.
+
+    The spec keeps the staircase prefix it has scanned; a later call
+    scans only the widths past it.  Each call returns a fresh list.
     """
     if max_width < 1:
         raise ConfigError(f"max_width must be >= 1, got {max_width}")
-    chains = len(spec.scan_chains)
-    floor = max(max(spec.scan_chains, default=0), 1)
-    widest_path = spec.total_scan + max(spec.input_cells, spec.output_cells)
-    points: List[ParetoPoint] = []
-    best = None
-    for width in range(1, max_width + 1):
-        time = spec.test_time_cycles(width)
-        if best is None or time < best:
-            points.append(ParetoPoint(width=width, test_time_cycles=time))
-            best = time
-        if width >= chains and widest_path <= floor * width:
-            break
-    return points
+    memo = spec._memo
+    scanned, points = memo.staircase
+    limit = min(max_width, memo.saturation)
+    if limit > scanned:
+        grown = list(points)
+        best = grown[-1].test_time_cycles if grown else None
+        for width in range(scanned + 1, limit + 1):
+            time = spec.test_time_cycles(width)
+            if best is None or time < best:
+                grown.append(ParetoPoint(width=width, test_time_cycles=time))
+                best = time
+        points = tuple(grown)
+        memo.staircase = (limit, points)
+    return [point for point in points if point.width <= max_width]
 
 
 def width_saturation(spec: CoreTestSpec, max_width: int = 64) -> int:

@@ -218,24 +218,50 @@ class TestErrorsAreOneLine:
          "monolithic pattern count 1 violates the Eq. 2 lower bound 234"),
         (["tdv", "{d695}", "--mono-patterns", "1", "--json"],
          "monolithic pattern count 1 violates the Eq. 2 lower bound 234"),
-        (["vectors", "{c17}", "--chains", "0", "--no-cache"],
-         "chain_count must be >= 1, got 0"),
-    ], ids=["tdv-mono-patterns", "tdv-json-mono-patterns", "vectors-chains"])
-    def test_out_of_range_number(self, tmp_path, c17, args, message):
-        c17_path = tmp_path / "c17.bench"
-        save_bench_file(c17_path, c17)
+    ], ids=["tdv-mono-patterns", "tdv-json-mono-patterns"])
+    def test_out_of_range_number(self, args, message):
         d695 = SRC / "repro" / "itc02" / "data" / "d695.soc"
-        args = [arg.format(d695=d695, c17=c17_path) for arg in args]
+        args = [arg.format(d695=d695) for arg in args]
         self.assert_one_line_error(args, message)
 
+    @pytest.mark.parametrize("value,message", [
+        ("0", "must be >= 1, got 0"),
+        ("x", "expected an integer, got 'x'"),
+    ], ids=["zero", "not-an-int"])
+    def test_bad_chains_refused_before_atpg(self, tmp_path, c17, value, message):
+        """The parser refuses --chains before any ATPG job runs, so the
+        cache directory stays empty (a bad count once left an entry)."""
+        c17_path = tmp_path / "c17.bench"
+        save_bench_file(c17_path, c17)
+        cache = tmp_path / "cache"
+        completed = self.run_repro([
+            "vectors", str(c17_path), "--chains", value,
+            "--cache-dir", str(cache),
+        ])
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        errors = [
+            line for line in completed.stderr.splitlines()
+            if line.startswith("repro vectors: error: ")
+        ]
+        assert errors == [
+            f"repro vectors: error: argument --chains: {message}"
+        ]
+        assert "Traceback" not in completed.stderr
+        assert not cache.exists() or not any(cache.iterdir())
+
     @staticmethod
-    def assert_one_line_error(args, message):
+    def run_repro(args):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC)
-        completed = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "repro", *args],
             env=env, capture_output=True, text=True, timeout=120,
         )
+
+    @classmethod
+    def assert_one_line_error(cls, args, message):
+        completed = cls.run_repro(args)
         assert completed.returncode == 2
         assert completed.stdout == ""
         assert completed.stderr.startswith("repro: error: ")

@@ -8,7 +8,7 @@ two-core SOC so the whole Table-1-style flow runs in seconds.
 import pytest
 
 from repro.atpg import CompiledCircuit, collapse_faults, fault_coverage, generate_tests
-from repro.circuit import GateType, Netlist, extract_cones, insert_scan
+from repro.circuit import Netlist, extract_cones, insert_scan
 from repro.core import decompose, pessimism_factor, tdv_monolithic
 from repro.soc import Core, Soc
 from repro.synth import GeneratorSpec, generate_circuit
@@ -160,8 +160,6 @@ class TestGateLevelDelivery:
     responses the exported vector program predicts."""
 
     def test_full_program_delivery(self):
-        import random
-
         from repro.atpg import export_program, generate_tests
         from repro.circuit import insert_scan
         from repro.synth import GeneratorSpec, generate_circuit

@@ -12,7 +12,6 @@ from repro.core import (
     paper_vs_measured_table,
     percent,
     soc_table,
-    summarize,
     sweep_core_count,
     sweep_pattern_variation,
     sweep_wrapper_overhead,

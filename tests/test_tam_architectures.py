@@ -38,7 +38,7 @@ class TestCoreSpecsFromSoc:
     def test_explicit_chains_respected(self, flat_soc):
         specs = core_specs_from_soc(flat_soc, scan_chains={"a": [90, 10]})
         spec_a = next(spec for spec in specs if spec.name == "a")
-        assert spec_a.scan_chains == [90, 10]
+        assert spec_a.scan_chains == (90, 10)
 
     def test_bidirs_count_on_both_sides(self, flat_soc):
         spec_c = next(

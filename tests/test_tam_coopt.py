@@ -9,12 +9,15 @@ errors, and the ``tam`` experiment's byte-identity across serial,
 parallel and killed-and-resumed runs.
 """
 
+import dataclasses
 import heapq
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -98,6 +101,28 @@ def reference_staircase(times):
             points.append(ParetoPoint(width=width, test_time_cycles=time))
             best = time
     return points
+
+
+def reference_answers(spec, max_width):
+    """``(test time, shifted bits, staircase)`` at widths ``1..max_width``
+    from the reference path."""
+    pairs = [reference_bottlenecks(spec, w) for w in range(1, max_width + 1)]
+    times = [(1 + max(pair)) * spec.patterns + min(pair) for pair in pairs]
+    staircase = reference_staircase(times)
+    return [
+        (times[w - 1], spec.patterns * w * sum(pairs[w - 1]),
+         [point for point in staircase if point.width <= w])
+        for w in range(1, max_width + 1)
+    ]
+
+
+def answers(spec, width):
+    """What ``spec`` answers at one width: time, shifted bits, staircase."""
+    return (
+        spec.test_time_cycles(width),
+        spec.shifted_bits(width),
+        pareto_widths(spec, width),
+    )
 
 
 def reference_lower_bound(staircases, tam_width):
@@ -225,26 +250,30 @@ class TestFastPathDifferential:
         output_cells=st.integers(0, 40),
         patterns=st.integers(0, 50),
         max_width=st.integers(1, 12),
+        order=st.randoms(use_true_random=False),
     )
-    @example(chains=[], input_cells=7, output_cells=3, patterns=5, max_width=9)
+    @example(chains=[], input_cells=7, output_cells=3, patterns=5, max_width=9,
+             order=random.Random(0))
     @example(chains=[0, 0, 6], input_cells=2, output_cells=9, patterns=4,
-             max_width=6)
+             max_width=6, order=random.Random(0))
     @example(chains=[9, 7, 7, 3, 1], input_cells=4, output_cells=11,
-             patterns=3, max_width=3)
+             patterns=3, max_width=3, order=random.Random(0))
     @example(chains=[5, 5], input_cells=0, output_cells=0, patterns=8,
-             max_width=4)
+             max_width=4, order=random.Random(0))
     @example(chains=[], input_cells=0, output_cells=0, patterns=2,
-             max_width=3)
+             max_width=3, order=random.Random(0))
     # One wire short of the chain count, the cells already fit under
     # the longest chain, yet LPT stacks 6 + 5 above it: the staircase
     # must not saturate before width 4.
     @example(chains=[10, 6, 6, 5], input_cells=0, output_cells=2,
-             patterns=3, max_width=6)
+             patterns=3, max_width=6, order=random.Random(0))
     def test_small_specs_match_design_wrapper(
-        self, chains, input_cells, output_cells, patterns, max_width
+        self, chains, input_cells, output_cells, patterns, max_width, order
     ):
         """Random small specs — chains > width, zero-length chains, no
-        chains, zero cells — against the materialized wrapper."""
+        chains, zero cells — against the materialized wrapper; then one
+        shared spec asked in a random width order, past saturation
+        too, against the reference."""
         spec = CoreTestSpec("x", chains, input_cells, output_cells, patterns)
         times = []
         for width in range(1, max_width + 1):
@@ -257,6 +286,15 @@ class TestFastPathDifferential:
             times.append(wrapper.test_time_cycles(patterns))
         assert pareto_widths(spec, max_width) == reference_staircase(times)
 
+        # These specs saturate by width 48: at most 8 chains, and the
+        # scan plus 40 cells fit under the longest chain by then.
+        shared = CoreTestSpec("x", chains, input_cells, output_cells, patterns)
+        expected = reference_answers(shared, 49)
+        widths = list(range(1, 50))
+        order.shuffle(widths)
+        for width in widths:
+            assert answers(shared, width) == expected[width - 1], width
+
     @settings(max_examples=200, deadline=None)
     @given(
         lengths=st.lists(st.integers(0, 50), min_size=1, max_size=10),
@@ -266,6 +304,153 @@ class TestFastPathDifferential:
         assert spread_level(lengths, cells) == reference_spread_level(
             lengths, cells
         )
+
+
+class TestSpecMemo:
+    """Each CoreTestSpec keeps its bottlenecks and staircase: the
+    answers must not depend on what was asked before, or in what order."""
+
+    def test_query_order_does_not_change_answers(self):
+        """Every ITC'02 core under the tam experiment's chain strategies,
+        asked at widths 1..80 (past the saturation width of every core
+        but d695's scan-less core2, which saturates at 158): one shared
+        spec descending then shuffled, and one shuffled from an empty
+        memo, against a fresh spec per width and the reference."""
+        shuffler = random.Random(23)
+        widths = list(range(1, 81))
+        seen = set()
+        for soc_name in BENCHMARK_NAMES:
+            soc = load(soc_name)
+            for chain_count in (1, 4, 16):
+                for spec in core_specs_from_soc(
+                    soc, default_chain_count=chain_count
+                ):
+                    # Equal specs answer alike; check each content once.
+                    content = dataclasses.astuple(spec)[1:]
+                    if content in seen:
+                        continue
+                    seen.add(content)
+                    expected = reference_answers(spec, 80)
+                    for width in widths:
+                        fresh = dataclasses.replace(spec)
+                        assert answers(fresh, width) == expected[width - 1]
+                    shuffled = widths[:]
+                    shuffler.shuffle(shuffled)
+                    empty = dataclasses.replace(spec)
+                    for shared, order in (
+                        (spec, widths[::-1] + shuffled),
+                        (empty, shuffled),
+                    ):
+                        for width in order:
+                            assert answers(shared, width) == expected[
+                                width - 1
+                            ], (soc_name, chain_count, spec.name, width)
+
+    def test_caller_chain_list_is_copied(self, flat_soc):
+        """A spec once kept the caller's list: appending a chain to it
+        changed the frozen spec's answers (9,190 -> 50,600 cycles)."""
+        chains = [90, 10]
+        explicit = {"a": [90, 10]}
+        built = [
+            CoreTestSpec("a", chains, 4, 4, 100),
+            next(
+                spec
+                for spec in core_specs_from_soc(flat_soc, scan_chains=explicit)
+                if spec.name == "a"
+            ),
+        ]
+        before = [
+            (spec.test_time_cycles(2), spec.total_scan, pareto_widths(spec, 8))
+            for spec in built
+        ]
+        chains.append(500)
+        explicit["a"].append(500)
+        for spec, answered in zip(built, before):
+            fresh = CoreTestSpec(
+                "a", [90, 10], spec.input_cells, spec.output_cells,
+                spec.patterns,
+            )
+            assert spec.scan_chains == (90, 10)
+            assert (
+                spec.test_time_cycles(2), spec.total_scan,
+                pareto_widths(spec, 8),
+            ) == answered
+            # A width first asked after the change answers as before it.
+            assert answers(spec, 3) == answers(fresh, 3)
+        assert before[0][0] == 9190
+
+    def test_memo_stays_out_of_eq_hash_and_repr(self):
+        asked = CoreTestSpec("a", [90, 10], 4, 4, 100)
+        untouched = CoreTestSpec("a", [90, 10], 4, 4, 100)
+        answers(asked, 5)
+        assert asked == untouched
+        assert hash(asked) == hash(untouched)
+        assert repr(asked) == repr(untouched)
+        assert "memo" not in repr(asked)
+        assert [field.name for field in dataclasses.fields(asked)] == [
+            "name", "scan_chains", "input_cells", "output_cells", "patterns",
+        ]
+
+    def test_memo_holds_only_the_widths_asked(self):
+        """A scan-less core saturates at its cell count; its memo must not
+        grow a dense table up to it."""
+        spec = CoreTestSpec("io", [], 5000, 5000, 10)
+        assert spec.test_time_cycles(4000) == (1 + 2) * 10 + 2
+        assert spec.test_time_cycles(9000) == (1 + 1) * 10 + 1
+        assert sorted(spec._memo.bottlenecks) == [4000, 5000]
+
+    def test_width_below_one_refused_with_a_full_memo(self, specs):
+        for spec in specs:
+            pareto_widths(spec, 64)
+            for width in (0, -3):
+                with pytest.raises(ConfigError):
+                    spec.test_time_cycles(width)
+                with pytest.raises(ConfigError):
+                    spec.shifted_bits(width)
+                with pytest.raises(ConfigError):
+                    pareto_widths(spec, width)
+
+    def test_pareto_widths_returns_a_fresh_list(self, specs):
+        for spec in specs:
+            first = pareto_widths(spec, 16)
+            expected = list(first)
+            first.clear()
+            assert pareto_widths(spec, 16) == expected
+
+    def test_threads_sharing_a_spec_agree(self):
+        """Threads extending one memo at once may repeat work, but every
+        answer, and the memo they leave behind, must match the
+        reference."""
+        template = CoreTestSpec("t", [37, 21, 21, 9, 4, 4], 30, 55, 17)
+        expected = reference_answers(template, 40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                shared = dataclasses.replace(template)
+                failures = []
+
+                def ask(seed):
+                    widths = list(range(1, 41))
+                    random.Random(seed).shuffle(widths)
+                    for width in widths:
+                        if answers(shared, width) != expected[width - 1]:
+                            failures.append(width)
+
+                threads = [
+                    threading.Thread(target=ask, args=(seed,))
+                    for seed in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert failures == []
+                for width in range(40, 0, -1):
+                    assert answers(shared, width) == expected[width - 1]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBestFitScheduler:
@@ -315,15 +500,6 @@ class TestBestFitScheduler:
     def test_zero_width_rejected(self, specs):
         with pytest.raises(ConfigError):
             schedule_best_fit(specs, tam_width=0)
-
-    def test_prebuilt_staircases_give_the_same_schedule(self, specs):
-        staircases = TamProblem(cores=specs, tam_width=8).pareto_sets()
-        assert schedule_best_fit(
-            specs, tam_width=8, staircases=staircases
-        ) == schedule_best_fit(specs, tam_width=8)
-        assert makespan_lower_bound(
-            specs, 8, staircases=staircases
-        ) == makespan_lower_bound(specs, 8)
 
 
 class TestScheduleErrors:
