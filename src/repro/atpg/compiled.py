@@ -11,7 +11,7 @@ the event-driven fault simulator all run on this form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist

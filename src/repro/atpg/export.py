@@ -27,7 +27,7 @@ Format::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..circuit.netlist import Netlist
 from ..circuit.scan import ScanInsertion, insert_scan

@@ -30,7 +30,6 @@ from .compiled import (
     OP_NOT,
     OP_OR,
     OP_XNOR,
-    OP_XOR,
     OPCODES,
     CompiledCircuit,
 )

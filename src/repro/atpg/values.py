@@ -9,7 +9,7 @@ they cannot drift from :func:`repro.circuit.gates.evaluate_gate`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..circuit.gates import GateType, Trit, evaluate_gate
 

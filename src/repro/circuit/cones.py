@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .netlist import Gate, Netlist
+from .netlist import Netlist
 
 
 @dataclass(frozen=True)

@@ -169,18 +169,41 @@ def summarize(
     convention (benefit derived from the Eq. 6 identity, i.e. including
     the chip-I/O residual) and the strict Eq. 8 value.
     """
-    t_mono = soc.monolithic_patterns(monolithic_patterns)
-    benefit = tdv_benefit(soc, t_mono)
-    residual = chip_io_residual(soc, t_mono)
+    # One pass, one ISOCOST per core.  Eq. 8's sum over cores splits
+    # into T_mono * 2 S_chip - sum_A T_A * 2 S_A, so it needs no T_mono
+    # during the pass.  The per-equation functions above are the
+    # reference this must equal.
+    scan_cells = 0
+    max_patterns = 0
+    modular = 0
+    penalty = 0
+    scan_load = 0
+    for core in soc:
+        iso = isocost(soc, core.name, chip_pin_wrappers)
+        scan_bits = core.scan_bits_per_pattern
+        patterns = core.patterns
+        scan_cells += core.scan_cells
+        if patterns > max_patterns:
+            max_patterns = patterns
+        modular += patterns * (scan_bits + iso)
+        penalty += patterns * iso
+        scan_load += patterns * scan_bits
+    if monolithic_patterns is None:
+        t_mono = max_patterns
+    else:
+        t_mono = soc.monolithic_patterns(monolithic_patterns)
+    chip_io = soc.chip_io_terminals
+    residual = chip_io * t_mono
+    benefit = 2 * scan_cells * t_mono - scan_load
     if identity_consistent_benefit:
         benefit += residual
     return TdvSummary(
         soc_name=soc.name,
         core_count=len(soc),
         monolithic_patterns=t_mono,
-        tdv_monolithic=tdv_monolithic(soc, t_mono),
-        tdv_modular=tdv_modular(soc, chip_pin_wrappers),
-        tdv_penalty=tdv_penalty(soc, chip_pin_wrappers),
+        tdv_monolithic=(chip_io + 2 * scan_cells) * t_mono,
+        tdv_modular=modular,
+        tdv_penalty=penalty,
         tdv_benefit=benefit,
         chip_io_residual=residual,
     )

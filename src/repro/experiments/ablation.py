@@ -19,7 +19,6 @@ if TYPE_CHECKING:
 from ..core.report import format_table
 from ..core.sweep import SweepPoint, sweep_core_count, sweep_wrapper_overhead
 from ..itc02.benchmarks import BENCHMARK_NAMES, load
-from ..soc.model import Soc
 from ..soc.shared_isolation import SharingPoint, breakeven_sharing, sharing_sweep
 from ..tam.idle_bits import IdleBitReport, idle_bit_sweep
 from .registry import experiment

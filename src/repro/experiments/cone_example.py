@@ -23,7 +23,6 @@ from ..atpg.compiled import CompiledCircuit
 from ..atpg.engine import extract_cone_netlist
 from ..atpg.patterns import TestPattern
 from ..circuit.cones import extract_cones, overlap_fraction
-from ..circuit.netlist import Netlist
 from ..itc02.paper_tables import (
     CONE_EXAMPLE_FLIP_FLOPS,
     CONE_EXAMPLE_MODULAR_BITS,

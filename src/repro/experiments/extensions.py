@@ -20,7 +20,7 @@ measure, answered with the library's substrates:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..runtime.session import Runtime, ensure_runtime
 from ..atpg import (

@@ -10,7 +10,7 @@ text-only; figure generation is opt-in via :func:`generate_figures`.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from ..core.svgplot import Chart, Series, save_svg
 from ..core.sweep import sweep_pattern_variation

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     from ..runtime.session import Runtime
 
 from ..core.report import format_table
+from ..errors import ConfigError
 from ..sweeps import (
     BinnedMean,
     FractionTrue,
@@ -56,6 +57,20 @@ MIN_PEARSON = 0.30
 NSD_BIN_EDGES = (0.25, 0.5, 0.75, 1.0, 1.5)
 
 
+def _env_count(name: str, default: int) -> int:
+    """``$name`` as an integer of at least 1, or ``default`` when unset."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        value: Optional[int] = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {text!r}")
+    return value
+
+
 def run(
     verbose: bool = True,
     seed: Optional[int] = None,
@@ -67,15 +82,15 @@ def run(
 
     ``samples`` defaults to ``$REPRO_POPULATION_N`` or 1000;
     ``shard_size`` to ``$REPRO_POPULATION_SHARD`` or 50 (a killed run
-    re-does at most one shard per worker).  Execution details go to
-    stderr; stdout carries only the population-invariant report.
+    re-does at most one shard per worker).  Either variable must be an
+    integer of at least 1, else :class:`~repro.errors.ConfigError`.
+    Execution details go to stderr; stdout carries only the
+    population-invariant report.
     """
     if samples is None:
-        samples = int(os.environ.get("REPRO_POPULATION_N", DEFAULT_SAMPLES))
+        samples = _env_count("REPRO_POPULATION_N", DEFAULT_SAMPLES)
     if shard_size is None:
-        shard_size = int(
-            os.environ.get("REPRO_POPULATION_SHARD", DEFAULT_SHARD_SIZE)
-        )
+        shard_size = _env_count("REPRO_POPULATION_SHARD", DEFAULT_SHARD_SIZE)
     if seed is None:
         seed = DEFAULT_SEED
 

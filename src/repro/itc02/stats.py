@@ -9,7 +9,7 @@ and explains each SOC's Table 4 outcome from those inputs (the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..core.analysis import pattern_count_variation
 from ..core.tdv import summarize

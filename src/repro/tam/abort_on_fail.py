@@ -15,7 +15,7 @@ expectation so the claim is testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence
+from typing import ClassVar, Dict, List, Sequence
 
 from ..errors import ConfigError
 from .architectures import CoreTestSpec, _wrapper

@@ -16,7 +16,7 @@ from typing import Any, ClassVar, Dict, List, Optional
 
 from ..core.tdv import tdv_monolithic
 from ..soc.model import Soc
-from .architectures import CoreTestSpec, core_specs_from_soc, _wrapper
+from .architectures import core_specs_from_soc, _wrapper
 from .types import TamResult
 from .wrapper_design import balanced_chain_lengths
 

@@ -13,13 +13,17 @@ type:
 * :func:`schedule_serial` — every core full-width, back to back (the
   Multiplexing architecture; the do-nothing baseline);
 * :func:`schedule_greedy` — one fixed per-core width, longest test
-  first on the earliest-free wires (shelf-style baseline);
+  first, each starting as soon as enough wires are free (shelf-style
+  baseline);
 * :func:`schedule_best_fit` — best-fit decreasing over each core's
   *Pareto-optimal* width candidates, ordered by normalized diagonal
   length, placing each test where it finishes earliest with the least
   created idle time.
 
-All schedulers are deterministic and verify the width budget before
+Wires are anonymous: a slot records its width, never which wires it
+holds, so the greedy and best-fit packers track only the multiset of
+wire free times, and a schedule depends on nothing else.  All
+schedulers are deterministic and verify the width budget before
 returning.  Errors are typed (:class:`~repro.errors.ConfigError` for
 bad parameters, :class:`~repro.errors.ScheduleError` from
 :meth:`~repro.tam.types.Schedule.verify`).
@@ -27,7 +31,10 @@ bad parameters, :class:`~repro.errors.ScheduleError` from
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import math
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError
@@ -77,16 +84,20 @@ def schedule_greedy(
         raise ConfigError(f"preferred_width must be >= 1, got {preferred_width}")
     durations = {spec.name: spec.test_time_cycles(width) for spec in specs}
     ordered = sorted(specs, key=lambda s: -durations[s.name])
-    # Track per-wire next-free time; a test takes the `width` wires that
-    # free up earliest and starts when the last of them is free.
-    wire_free = [0] * tam_width
+    # A heap of (free time, wire count) groups.  A test takes `width`
+    # wires from the earliest groups, hands the last group's surplus
+    # back, and starts when that last group frees.
+    groups = [(0, tam_width)]
     tests = []
     for spec in ordered:
-        wires = sorted(range(tam_width), key=wire_free.__getitem__)[:width]
-        start = max(wire_free[w] for w in wires)
+        need = width
+        while need > 0:
+            start, count = heapq.heappop(groups)
+            need -= count
+        if need < 0:
+            heapq.heappush(groups, (start, -need))
         end = start + durations[spec.name]
-        for w in wires:
-            wire_free[w] = end
+        heapq.heappush(groups, (end, width))
         tests.append(ScheduledTest(spec.name, width, start, end))
     schedule = Schedule(tam_width=tam_width, tests=tests)
     schedule.verify()
@@ -111,16 +122,17 @@ def schedule_best_fit(
        ``sqrt((w/W)^2 + (t/T)^2)`` of their preferred (fastest)
        rectangle, so tests that are large on either axis place first,
        while small ones fill the gaps left behind;
-    3. each core is placed *best-fit*: every candidate width is tried
-       on the earliest-free wires and the one finishing earliest wins
-       (ties broken toward less newly-created wire idle time, then the
-       narrower width).
+    3. each core is placed *best-fit*: every candidate width ``w``
+       starts when the ``w``-th earliest wire frees, and the one
+       finishing earliest wins (ties broken toward less newly-created
+       wire idle time, then the narrower width).
 
-    Width safety is structural — placement assigns concrete wires, so
-    the budget cannot be exceeded — and :meth:`Schedule.verify` checks
-    it anyway.  Each spec keeps its own staircase
-    (:func:`~repro.tam.types.pareto_widths`), so the packer and
-    :func:`makespan_lower_bound` compute it once between them.
+    Placement works on the ascending list of wire free times: a test of
+    width ``w`` takes its ``w`` smallest entries and gives back ``w``
+    entries at its end time, so the budget cannot be exceeded, and
+    :meth:`Schedule.verify` checks it anyway.  Each spec keeps its own
+    staircase (:func:`~repro.tam.types.pareto_widths`), so the packer
+    and :func:`makespan_lower_bound` compute it once between them.
     """
     if tam_width < 1:
         raise ConfigError(f"tam_width must be >= 1, got {tam_width}")
@@ -165,29 +177,27 @@ def schedule_best_fit(
         )
     ordered = sorted(specs, key=lambda s: (-diagonal(s), s.name))
 
-    wire_free = [0] * tam_width
+    free = [0] * tam_width  # the wires' free times, ascending
     tests: List[ScheduledTest] = []
     for spec in ordered:
+        # Width w starts when its w earliest-free wires are all free, at
+        # free[w - 1]; the wire-cycles they idle until then are waste.
+        prefix = list(accumulate(free, initial=0))
         best_key = None
-        best_place = None
-        # Wires sorted by next-free time once per core: for any width w
-        # the w earliest-free wires minimize the start time (the max of
-        # the w smallest free times).
-        by_free = sorted(range(tam_width), key=wire_free.__getitem__)
         for point in candidates[spec.name]:
-            wires = by_free[: point.width]
-            start = wire_free[wires[-1]]
-            end = start + point.test_time_cycles
-            waste = sum(start - wire_free[w] for w in wires)
-            key = (end, waste, point.width)
+            width = point.width
+            start = free[width - 1]
+            waste = width * start - prefix[width]
+            key = (start + point.test_time_cycles, waste, width)
             if best_key is None or key < best_key:
                 best_key = key
-                best_place = (point, wires, start, end)
-        assert best_place is not None  # candidates are never empty
-        point, wires, start, end = best_place
-        for w in wires:
-            wire_free[w] = end
-        tests.append(ScheduledTest(spec.name, point.width, start, end))
+        assert best_key is not None  # candidates are never empty
+        end, _, width = best_key
+        start = free[width - 1]
+        rest = free[width:]
+        cut = bisect.bisect_right(rest, end)
+        free = rest[:cut] + [end] * width + rest[cut:]
+        tests.append(ScheduledTest(spec.name, width, start, end))
     schedule = Schedule(tam_width=tam_width, tests=tests)
     schedule.verify()
     return schedule

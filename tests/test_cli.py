@@ -250,18 +250,29 @@ class TestErrorsAreOneLine:
         assert "Traceback" not in completed.stderr
         assert not cache.exists() or not any(cache.iterdir())
 
+    @pytest.mark.parametrize("name,value", [
+        ("REPRO_POPULATION_N", "abc"),
+        ("REPRO_POPULATION_N", "1.5"),
+        ("REPRO_POPULATION_SHARD", "x"),
+    ], ids=["n-not-an-int", "n-fraction", "shard-not-an-int"])
+    def test_bad_population_env_var(self, name, value):
+        self.assert_one_line_error(
+            ["experiments", "population"],
+            f"{name} must be an integer >= 1, got {value!r}",
+            env={name: value},
+        )
+
     @staticmethod
-    def run_repro(args):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC)
+    def run_repro(args, env=None):
+        env = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}
         return subprocess.run(
             [sys.executable, "-m", "repro", *args],
             env=env, capture_output=True, text=True, timeout=120,
         )
 
     @classmethod
-    def assert_one_line_error(cls, args, message):
-        completed = cls.run_repro(args)
+    def assert_one_line_error(cls, args, message, env=None):
+        completed = cls.run_repro(args, env)
         assert completed.returncode == 2
         assert completed.stdout == ""
         assert completed.stderr.startswith("repro: error: ")

@@ -2,7 +2,8 @@
 
 Covers the redesigned API (TamProblem / cooptimize / CoOptResult /
 design_space / pareto_front), the best-fit rectangle packer and its
-differential guarantees against the greedy baseline, the closed-form
+differential guarantees against the greedy baseline, both packers
+against the per-wire placement loops they replaced, the closed-form
 wrapper fast path against a reference copy of the binary-search /
 full-scan implementation it replaced, the typed input and scheduling
 errors, and the ``tam`` experiment's byte-identity across serial,
@@ -132,6 +133,72 @@ def reference_lower_bound(staircases, tam_width):
         best_times.append(staircase[-1].test_time_cycles)
         min_area += min(point.area for point in staircase)
     return max(max(best_times), math.ceil(min_area / tam_width))
+
+
+# The two packers as they stood before they tracked only the multiset
+# of wire free times: one free time per numbered wire, and a sort of
+# every wire for each placed core.  The production schedulers must
+# return exactly these slots.
+
+
+def reference_greedy(specs, tam_width, preferred_width):
+    width = min(preferred_width, tam_width)
+    durations = {spec.name: spec.test_time_cycles(width) for spec in specs}
+    ordered = sorted(specs, key=lambda s: -durations[s.name])
+    wire_free = [0] * tam_width
+    tests = []
+    for spec in ordered:
+        wires = sorted(range(tam_width), key=wire_free.__getitem__)[:width]
+        start = max(wire_free[w] for w in wires)
+        end = start + durations[spec.name]
+        for w in wires:
+            wire_free[w] = end
+        tests.append(ScheduledTest(spec.name, width, start, end))
+    return tests
+
+
+def reference_best_fit(specs, tam_width, candidate_widths=None):
+    candidates = {}
+    for spec in specs:
+        staircase = pareto_widths(spec, tam_width)
+        if candidate_widths is not None:
+            allowed = {w for w in candidate_widths if 1 <= w <= tam_width}
+            staircase = [p for p in staircase if p.width in allowed] or [
+                ParetoPoint(width=w, test_time_cycles=spec.test_time_cycles(w))
+                for w in sorted(allowed)
+            ]
+        candidates[spec.name] = staircase
+    time_scale = max(
+        (staircase[-1].test_time_cycles for staircase in candidates.values()),
+        default=0,
+    ) or 1
+
+    def diagonal(spec):
+        point = candidates[spec.name][-1]
+        return math.sqrt(
+            (point.width / tam_width) ** 2
+            + (point.test_time_cycles / time_scale) ** 2
+        )
+
+    wire_free = [0] * tam_width
+    tests = []
+    for spec in sorted(specs, key=lambda s: (-diagonal(s), s.name)):
+        best_key = best_place = None
+        by_free = sorted(range(tam_width), key=wire_free.__getitem__)
+        for point in candidates[spec.name]:
+            wires = by_free[: point.width]
+            start = wire_free[wires[-1]]
+            end = start + point.test_time_cycles
+            waste = sum(start - wire_free[w] for w in wires)
+            key = (end, waste, point.width)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_place = (point, wires, start, end)
+        point, wires, start, end = best_place
+        for w in wires:
+            wire_free[w] = end
+        tests.append(ScheduledTest(spec.name, point.width, start, end))
+    return tests
 
 
 @pytest.fixture
@@ -500,6 +567,81 @@ class TestBestFitScheduler:
     def test_zero_width_rejected(self, specs):
         with pytest.raises(ConfigError):
             schedule_best_fit(specs, tam_width=0)
+
+
+#: Rows of CoreTestSpec arguments for the scheduler oracle: scan-less
+#: cores, and pattern counts drawn from four values so that zero-length
+#: slots and tied durations occur.
+spec_rows = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 60), max_size=4),
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.sampled_from([0, 1, 5, 50]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def specs_from_rows(rows):
+    return [CoreTestSpec(f"c{index}", *row) for index, row in enumerate(rows)]
+
+
+class TestSchedulerOracle:
+    """The greedy and best-fit packers track only the multiset of wire
+    free times; they must place every test exactly where the per-wire
+    reference loops above do."""
+
+    # 4 does not divide 10, so placements split free-time groups.
+    @example(rows=[([30, 20], 4, 4, 50), ([9], 0, 3, 5), ([], 7, 1, 1)] * 3,
+             tam_width=10, preferred_width=4)
+    # Identical cores: every duration and every free time ties.
+    @example(rows=[([10, 10], 2, 2, 5)] * 8, tam_width=6, preferred_width=4)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=spec_rows,
+        tam_width=st.integers(1, 70),
+        preferred_width=st.integers(1, 20),
+    )
+    def test_greedy_matches_per_wire_reference(
+        self, rows, tam_width, preferred_width
+    ):
+        specs = specs_from_rows(rows)
+        schedule = schedule_greedy(specs, tam_width, preferred_width)
+        assert schedule.tests == reference_greedy(
+            specs, tam_width, preferred_width
+        )
+
+    @example(rows=[([30, 20], 4, 4, 50), ([9], 0, 3, 5), ([], 7, 1, 1)] * 3,
+             tam_width=10, candidate_widths=[3, 4])
+    @example(rows=[([10, 10], 2, 2, 5)] * 8, tam_width=6,
+             candidate_widths=None)
+    # Two widths of one core finish together with equal waste: the
+    # narrower one must win.
+    @example(rows=[([12, 11], 6, 5, 5), ([], 6, 3, 1), ([], 1, 0, 2),
+                   ([3, 6, 8], 0, 4, 1)],
+             tam_width=2, candidate_widths=None)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=spec_rows,
+        tam_width=st.integers(1, 70),
+        candidate_widths=st.none() | st.lists(
+            st.integers(1, 24), min_size=1, max_size=5
+        ),
+    )
+    def test_best_fit_matches_per_wire_reference(
+        self, rows, tam_width, candidate_widths
+    ):
+        specs = specs_from_rows(rows)
+        if candidate_widths is not None and min(candidate_widths) > tam_width:
+            with pytest.raises(ConfigError, match="no candidate width"):
+                schedule_best_fit(specs, tam_width, candidate_widths)
+            return
+        schedule = schedule_best_fit(specs, tam_width, candidate_widths)
+        assert schedule.tests == reference_best_fit(
+            specs, tam_width, candidate_widths
+        )
 
 
 class TestScheduleErrors:

@@ -1,9 +1,14 @@
 """Unit tests for the TDV equations (repro.core.tdv)."""
 
+import itertools
+from pathlib import Path
+
 import pytest
 
 from repro.core import (
+    TdvSummary,
     chip_io_residual,
+    decompose,
     monolithic_pattern_lower_bound,
     summarize,
     tdv_benefit,
@@ -13,7 +18,13 @@ from repro.core import (
     tdv_monolithic_optimistic,
     tdv_penalty,
 )
+from repro.io import load_soc
 from repro.soc import Core, Soc
+
+SHIPPED_SOCS = sorted(
+    (Path(__file__).resolve().parents[1] / "src" / "repro" / "itc02" / "data")
+    .glob("*.soc")
+)
 
 
 class TestMonolithic:
@@ -146,3 +157,65 @@ class TestSummarize:
         summary = summarize(flat_soc, monolithic_patterns=500)
         assert summary.monolithic_patterns == 500
         assert summary.tdv_monolithic == tdv_monolithic(flat_soc, 500)
+
+
+def depth3_soc():
+    """Top -> a -> a1 -> a2: ISOCOST counts only direct children, a
+    bidirectional at every level, a scan-less leaf and a zero-pattern
+    core."""
+    return Soc(
+        "deep",
+        [
+            Core("top", inputs=6, outputs=4, bidirs=2, scan_cells=10,
+                 patterns=3, children=["a", "b"]),
+            Core("a", inputs=8, outputs=5, scan_cells=200, patterns=40,
+                 children=["a1"]),
+            Core("a1", inputs=4, outputs=4, bidirs=1, scan_cells=90,
+                 patterns=120, children=["a2"]),
+            Core("a2", inputs=3, outputs=2, bidirs=3, scan_cells=0,
+                 patterns=700),
+            Core("b", inputs=5, outputs=9, scan_cells=150, patterns=0),
+        ],
+        top="top",
+    )
+
+
+class TestSummarizeMatchesEquations:
+    """The one-pass summarize equals the per-equation functions and the
+    per-core sums of decompose, under every convention."""
+
+    @pytest.mark.parametrize(
+        "soc",
+        [load_soc(path) for path in SHIPPED_SOCS] + [depth3_soc()],
+        ids=[path.stem for path in SHIPPED_SOCS] + ["depth3"],
+    )
+    def test_summarize_equals_equations_and_decompose(self, soc):
+        measured = soc.max_core_patterns + 37
+        for t_mono, identity, pins in itertools.product(
+            (None, measured), (True, False), (True, False)
+        ):
+            case = (t_mono, identity, pins)
+            summary = summarize(soc, t_mono, identity, pins)
+            mono = soc.monolithic_patterns(t_mono)
+            strict = tdv_benefit(soc, t_mono)
+            residual = chip_io_residual(soc, t_mono)
+            assert summary == TdvSummary(
+                soc_name=soc.name,
+                core_count=len(soc),
+                monolithic_patterns=mono,
+                tdv_monolithic=tdv_monolithic(soc, mono),
+                tdv_modular=tdv_modular(soc, pins),
+                tdv_penalty=tdv_penalty(soc, pins),
+                tdv_benefit=strict + residual if identity else strict,
+                chip_io_residual=residual,
+            ), case
+            parts = decompose(soc, t_mono, pins)
+            assert summary.tdv_modular == sum(
+                core.modular_tdv for core in parts.per_core
+            ), case
+            assert summary.tdv_penalty == sum(
+                core.penalty for core in parts.per_core
+            ), case
+            assert summary.tdv_benefit == sum(
+                core.benefit for core in parts.per_core
+            ) + (parts.residual if identity else 0), case
