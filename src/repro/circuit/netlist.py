@@ -12,6 +12,7 @@ view, and everything downstream (cones, ATPG) works on it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -23,26 +24,46 @@ class NetlistError(NetlistParseError):
     """Raised when a netlist is structurally invalid."""
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One combinational gate: ``output = type(inputs...)``."""
+_NOT = GateType.NOT
+_BUF = GateType.BUF
+# Builds a Gate from already-checked fields (Netlist.merge's copies).
+_new_gate = tuple.__new__
 
-    gate_type: GateType
-    output: str
-    inputs: Tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.inputs) < self.gate_type.min_inputs:
-            raise NetlistError(
-                f"{self.gate_type.value} gate {self.output!r} needs at least "
-                f"{self.gate_type.min_inputs} inputs, got {len(self.inputs)}"
-            )
-        maximum = self.gate_type.max_inputs
-        if maximum is not None and len(self.inputs) > maximum:
-            raise NetlistError(
-                f"{self.gate_type.value} gate {self.output!r} takes at most "
-                f"{maximum} input, got {len(self.inputs)}"
-            )
+class Gate(namedtuple("Gate", ("gate_type", "output", "inputs"))):
+    """One combinational gate: ``output = type(inputs...)``.
+
+    An immutable record with no per-instance ``__dict__``: equality and
+    hash go by its three fields, and it pickles by value.  The arity
+    check uses identity tests on the gate type, because a netlist is
+    built from tens of thousands of these.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, gate_type: GateType, output: str, inputs: Tuple[str, ...]
+    ) -> "Gate":
+        if gate_type is _NOT or gate_type is _BUF:
+            if len(inputs) != 1:
+                _raise_arity_error(gate_type, output, inputs)
+        elif len(inputs) < 2:
+            _raise_arity_error(gate_type, output, inputs)
+        return _new_gate(cls, (gate_type, output, inputs))
+
+
+def _raise_arity_error(
+    gate_type: GateType, output: str, inputs: Tuple[str, ...]
+) -> None:
+    if len(inputs) < gate_type.min_inputs:
+        raise NetlistError(
+            f"{gate_type.value} gate {output!r} needs at least "
+            f"{gate_type.min_inputs} inputs, got {len(inputs)}"
+        )
+    raise NetlistError(
+        f"{gate_type.value} gate {output!r} takes at most "
+        f"{gate_type.max_inputs} input, got {len(inputs)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -83,7 +104,9 @@ class Netlist:
         self, gate_type: GateType, output: str, inputs: Sequence[str]
     ) -> Gate:
         gate = Gate(gate_type, output, tuple(inputs))
-        self._claim_driver(output, "gate")
+        if output in self._drivers:
+            self._claim_driver(output, "gate")  # raises: already driven
+        self._drivers[output] = "gate"
         self.gates.append(gate)
         self._gate_by_output[output] = gate
         self._topo_cache = None
@@ -145,27 +168,30 @@ class Netlist:
         """
         if self._topo_cache is not None:
             return self._topo_cache
-        indegree: Dict[str, int] = {}
-        dependents: Dict[str, List[Gate]] = {}
-        for gate in self.gates:
-            count = 0
+        gates = self.gates
+        index = {gate.output: k for k, gate in enumerate(gates)}
+        # Kahn's algorithm over gate indices.  A gate reading one net
+        # twice counts it twice, and the ready stack is LIFO.
+        indegree = [0] * len(gates)
+        dependents: List[List[int]] = [[] for _ in gates]
+        for k, gate in enumerate(gates):
             for net in gate.inputs:
-                if self._drivers.get(net) == "gate":
-                    count += 1
-                    dependents.setdefault(net, []).append(gate)
-            indegree[gate.output] = count
-        ready = [gate for gate in self.gates if indegree[gate.output] == 0]
+                driver = index.get(net)
+                if driver is not None:
+                    indegree[k] += 1
+                    dependents[driver].append(k)
+        ready = [k for k, degree in enumerate(indegree) if not degree]
         order: List[Gate] = []
         while ready:
-            gate = ready.pop()
-            order.append(gate)
-            for dependent in dependents.get(gate.output, []):
-                indegree[dependent.output] -= 1
-                if indegree[dependent.output] == 0:
+            k = ready.pop()
+            order.append(gates[k])
+            for dependent in dependents[k]:
+                indegree[dependent] -= 1
+                if not indegree[dependent]:
                     ready.append(dependent)
-        if len(order) != len(self.gates):
+        if len(order) != len(gates):
             stuck = sorted(
-                output for output, degree in indegree.items() if degree > 0
+                gate.output for gate, degree in zip(gates, indegree) if degree > 0
             )
             raise NetlistError(
                 f"{self.name}: combinational cycle through {stuck[:5]}"
@@ -245,12 +271,23 @@ class Netlist:
                 self.add_input(rename[net])
         for ff in other.flip_flops:
             self.add_flip_flop(rename[ff.output], rename[ff.data])
+        # ``other`` checked each gate's arity when it was built, so the
+        # renamed copies skip Gate's check; every output is still claimed.
+        drivers = self._drivers
+        gates = self.gates
+        gate_by_output = self._gate_by_output
+        renamed = rename.__getitem__
+        self._topo_cache = None
         for gate in other.gates:
-            self.add_gate(
-                gate.gate_type,
-                rename[gate.output],
-                [rename[net] for net in gate.inputs],
+            output = renamed(gate.output)
+            if output in drivers:
+                self._claim_driver(output, "gate")  # raises: already driven
+            drivers[output] = "gate"
+            copy = _new_gate(
+                Gate, (gate.gate_type, output, tuple(map(renamed, gate.inputs)))
             )
+            gates.append(copy)
+            gate_by_output[output] = copy
         return rename
 
     def __repr__(self) -> str:

@@ -62,6 +62,16 @@ class UnknownBenchmarkError(ReproError, KeyError):
         return self.args[0] if self.args else ""
 
 
+class InputFileError(ReproError, OSError):
+    """An input file that cannot be read: missing, a directory, or not
+    readable.  Still an ``OSError``, as the error it replaces."""
+
+
+class InputEncodingError(ReproError, ValueError):
+    """An input file whose bytes do not decode as text.  Still a
+    ``ValueError``, as the ``UnicodeDecodeError`` it replaces."""
+
+
 # -- caching and checkpointing ----------------------------------------------
 
 

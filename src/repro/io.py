@@ -17,15 +17,20 @@ Format sniffing, documented:
 :func:`load_netlist`
     Netlists are distinguished purely by extension: ``.v`` / ``.sv``
     parse as the structural-Verilog subset
-    (:func:`repro.circuit.load_verilog_file`); anything else — by
+    (:func:`repro.circuit.parse_verilog`); anything else — by
     convention ``.bench`` — as ISCAS BENCH format
-    (:func:`repro.circuit.load_bench_file`).
+    (:func:`repro.circuit.parse_bench`).  The netlist is named after
+    the file stem.
 
 Malformed input raises the typed errors of :mod:`repro.errors`:
 netlist problems are :class:`~repro.errors.NetlistParseError`
 subclasses, SOC-description problems are
 :class:`~repro.errors.SocFormatError` subclasses — all of them still
-``ValueError``, so pre-existing handlers keep working.
+``ValueError``, so pre-existing handlers keep working.  A file that
+cannot be read raises :class:`~repro.errors.InputFileError` (still an
+``OSError``), and one that does not decode as text
+:class:`~repro.errors.InputEncodingError` (still a ``ValueError``);
+both name the path.
 """
 
 from __future__ import annotations
@@ -33,14 +38,30 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from .circuit import load_bench_file, load_verilog_file
+from .circuit import parse_bench, parse_verilog
 from .circuit.netlist import Netlist
+from .errors import InputEncodingError, InputFileError
 from .soc import Soc
+
+
+def _read_text(path: Union[str, Path]) -> str:
+    """The file's text; a file that cannot be read is a typed error."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as error:
+        raise InputEncodingError(
+            f"cannot read {path}: not {error.encoding} text "
+            f"({error.reason} at byte {error.start})"
+        ) from error
+    except OSError as error:
+        raise InputFileError(
+            f"cannot read {path}: {error.strerror or error}"
+        ) from error
 
 
 def load_soc(path: Union[str, Path]) -> Soc:
     """Load an SOC description, sniffing native-ITC'02 vs .soc dialect."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     if "SocName" in text.split("\n", 5)[0] or "SocName" in text[:400]:
         from .itc02 import native_to_soc
 
@@ -52,7 +73,8 @@ def load_soc(path: Union[str, Path]) -> Soc:
 
 def load_netlist(path: Union[str, Path]) -> Netlist:
     """Load a netlist by extension: .v/.sv is Verilog, anything else BENCH."""
-    path = str(path)
-    if path.endswith(".v") or path.endswith(".sv"):
-        return load_verilog_file(path)
-    return load_bench_file(path)
+    text = _read_text(path)
+    name = Path(path).stem
+    if str(path).endswith((".v", ".sv")):
+        return parse_verilog(text, name=name)
+    return parse_bench(text, name=name)

@@ -100,7 +100,9 @@ def netlist_fingerprint(netlist: Netlist) -> str:
     for ff in netlist.flip_flops:
         parts += ("ff", ff.output, ff.data)
     for gate in netlist.gates:
-        parts += ("gate", gate.gate_type.value, gate.output, *gate.inputs)
+        # ``_value_`` is the member's value, read without the Enum
+        # property that ``.value`` goes through.
+        parts += ("gate", gate.gate_type._value_, gate.output, *gate.inputs)
     parts.append("")  # the NUL after the last part
     return hashlib.sha256("\x00".join(parts).encode("utf-8")).hexdigest()
 

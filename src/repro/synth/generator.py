@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from ..circuit.gates import GateType
 from ..circuit.netlist import Netlist
@@ -23,6 +23,25 @@ _TREE_GATES = (
     GateType.NAND, GateType.NOR, GateType.AND, GateType.OR,
     GateType.NAND, GateType.NOR,  # NAND/NOR-rich, like standard-cell logic
 )
+
+_TREE_GATE_BITS = len(_TREE_GATES).bit_length()
+
+
+def _shuffle(items: List[str], getrandbits: Callable[[int], int]) -> None:
+    """``random.Random.shuffle(items)`` without a Python call per draw.
+
+    The swaps and ``getrandbits`` calls are exactly those of CPython's
+    ``shuffle`` over ``_randbelow_with_getrandbits`` (the same source
+    from 3.9 to 3.13), so the items and the generator's state come out
+    as ``shuffle`` leaves them.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        bound = i + 1
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
 
 
 @dataclass(frozen=True)
@@ -120,14 +139,14 @@ def _cone_supports(
     """Choose each cone's input support within its overlap window."""
     supports = []
     source_count = len(sources)
+    # A window never exceeds the source count, so each cyclic window is
+    # one slice of the sources laid end to end twice.
+    doubled = list(sources) * 2
     for cone_index, width in enumerate(widths):
         width = min(width, source_count)
         window = max(width, round(width + spec.overlap * (source_count - width)))
         center = (cone_index * source_count) // max(1, len(widths))
-        candidates = [
-            sources[(center + offset) % source_count] for offset in range(window)
-        ]
-        supports.append(rng.sample(candidates, width))
+        supports.append(rng.sample(doubled[center:center + window], width))
     return supports
 
 
@@ -164,8 +183,9 @@ def _build_cone_tree(
         out = new_net()
         netlist.add_gate(GateType.BUF, out, [frontier[0]])
         return out
+    getrandbits = rng.getrandbits
     while len(frontier) > 1:
-        rng.shuffle(frontier)
+        _shuffle(frontier, getrandbits)
         left = frontier.pop()
         right = frontier.pop()
         if rng.random() < 0.15:
@@ -175,7 +195,11 @@ def _build_cone_tree(
         if use_xor and rng.random() < 0.35:
             gate_type = GateType.XOR if rng.random() < 0.7 else GateType.XNOR
         else:
-            gate_type = rng.choice(_TREE_GATES)
+            # rng.choice(_TREE_GATES), with the same getrandbits draws.
+            pick = getrandbits(_TREE_GATE_BITS)
+            while pick >= len(_TREE_GATES):
+                pick = getrandbits(_TREE_GATE_BITS)
+            gate_type = _TREE_GATES[pick]
         out = new_net()
         netlist.add_gate(gate_type, out, [left, right])
         frontier.append(out)

@@ -17,8 +17,8 @@ type:
   baseline);
 * :func:`schedule_best_fit` — best-fit decreasing over each core's
   *Pareto-optimal* width candidates, ordered by normalized diagonal
-  length, placing each test where it finishes earliest with the least
-  created idle time.
+  length, placing each test where it finishes earliest, ties going to
+  the narrower width, which never idles more wire-cycles.
 
 Wires are anonymous: a slot records its width, never which wires it
 holds, so the greedy and best-fit packers track only the multiset of
@@ -34,7 +34,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError
@@ -124,8 +123,8 @@ def schedule_best_fit(
        while small ones fill the gaps left behind;
     3. each core is placed *best-fit*: every candidate width ``w``
        starts when the ``w``-th earliest wire frees, and the one
-       finishing earliest wins (ties broken toward less newly-created
-       wire idle time, then the narrower width).
+       finishing earliest wins; ties go to the narrower width, which
+       never idles more wire-cycles.
 
     Placement works on the ascending list of wire free times: a test of
     width ``w`` takes its ``w`` smallest entries and gives back ``w``
@@ -180,19 +179,18 @@ def schedule_best_fit(
     free = [0] * tam_width  # the wires' free times, ascending
     tests: List[ScheduledTest] = []
     for spec in ordered:
-        # Width w starts when its w earliest-free wires are all free, at
-        # free[w - 1]; the wire-cycles they idle until then are waste.
-        prefix = list(accumulate(free, initial=0))
+        # Width w starts at free[w - 1].  The wire-cycles it idles until
+        # then, sum(free[w - 1] - free[k] for k < w), never fall as w
+        # grows (each step adds w * (free[w] - free[w - 1]) >= 0), so
+        # (end, width) picks what an (end, waste, width) key would.
         best_key = None
         for point in candidates[spec.name]:
             width = point.width
-            start = free[width - 1]
-            waste = width * start - prefix[width]
-            key = (start + point.test_time_cycles, waste, width)
+            key = (free[width - 1] + point.test_time_cycles, width)
             if best_key is None or key < best_key:
                 best_key = key
         assert best_key is not None  # candidates are never empty
-        end, _, width = best_key
+        end, width = best_key
         start = free[width - 1]
         rest = free[width:]
         cut = bisect.bisect_right(rest, end)

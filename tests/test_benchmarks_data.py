@@ -13,7 +13,6 @@ from repro.itc02.paper_tables import (
     TABLE3_INCONSISTENT_CORES,
     TABLE3_P34392,
     TABLE4,
-    TABLE4_BY_NAME,
 )
 from repro.soc.hierarchy import core_tdv
 

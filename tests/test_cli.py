@@ -262,6 +262,22 @@ class TestErrorsAreOneLine:
             env={name: value},
         )
 
+    @pytest.mark.parametrize("command", ["run", "vectors", "tdv"])
+    @pytest.mark.parametrize("kind,message", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("not-utf8", "not utf-8 text (invalid start byte at byte 0)"),
+    ])
+    def test_unreadable_input_file(self, tmp_path, command, kind, message):
+        path = tmp_path / ("design.soc" if command == "tdv" else "design.bench")
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe INPUT(a)\n")
+        self.assert_one_line_error(
+            [command, str(path)], f"cannot read {path}: {message}"
+        )
+
     @staticmethod
     def run_repro(args, env=None):
         env = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}

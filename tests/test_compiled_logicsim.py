@@ -3,8 +3,6 @@
 import itertools
 import random
 
-import pytest
-
 from repro.atpg import CompiledCircuit, pack_patterns, simulate, unpack_value
 from repro.atpg.logicsim import output_rails
 

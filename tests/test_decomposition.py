@@ -1,9 +1,6 @@
 """Unit tests for the Eq. 6 decomposition (repro.core.decomposition)."""
 
-import pytest
-
 from repro.core import benefit_by_core, decompose, penalty_by_core
-from repro.core.decomposition import Decomposition
 
 
 class TestDecompose:

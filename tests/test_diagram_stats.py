@@ -1,7 +1,5 @@
 """Unit tests for hierarchy diagrams and benchmark statistics."""
 
-import pytest
-
 from repro.itc02 import load, soc_stats, suite_report, suite_stats
 from repro.itc02.stats import explain_outcome
 from repro.soc import (

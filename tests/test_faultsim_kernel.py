@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.atpg.compiled import CompiledCircuit
-from repro.atpg.faults import Fault, full_fault_universe
+from repro.atpg.faults import full_fault_universe
 from repro.atpg.faultsim import FaultSimulator
 from repro.atpg.logicsim import (
     RailBatch,

@@ -1,9 +1,17 @@
 """Unit tests for the synthetic circuit generator (repro.synth.generator)."""
 
+import random
+
 import pytest
 
-from repro.circuit import extract_cones, netlist_stats
+from repro.circuit import GateType, Netlist, extract_cones, netlist_stats
 from repro.synth import GeneratorSpec, generate_circuit
+from repro.synth.generator import (
+    _TREE_GATES,
+    _build_cone_tree,
+    _cone_supports,
+    _shuffle,
+)
 
 
 class TestSpecValidation:
@@ -99,3 +107,88 @@ class TestGeneratedShape:
         netlist = generate_circuit(spec)
         netlist.validate()
         assert netlist.outputs[0] not in netlist.inputs
+
+
+def reference_cone_tree(netlist, name, support, rng, gate_counter, use_xor):
+    """The cone-tree builder over ``Random.shuffle`` and ``Random.choice``."""
+
+    def new_net():
+        gate_counter[0] += 1
+        return f"{name}_g{gate_counter[0]}"
+
+    frontier = list(support)
+    if len(frontier) == 1:
+        out = new_net()
+        netlist.add_gate(GateType.BUF, out, [frontier[0]])
+        return out
+    while len(frontier) > 1:
+        rng.shuffle(frontier)
+        left = frontier.pop()
+        right = frontier.pop()
+        if rng.random() < 0.15:
+            inverted = new_net()
+            netlist.add_gate(GateType.NOT, inverted, [left])
+            left = inverted
+        if use_xor and rng.random() < 0.35:
+            gate_type = GateType.XOR if rng.random() < 0.7 else GateType.XNOR
+        else:
+            gate_type = rng.choice(_TREE_GATES)
+        out = new_net()
+        netlist.add_gate(gate_type, out, [left, right])
+        frontier.append(out)
+    return frontier[0]
+
+
+class TestDrawsMatchRandom:
+    """The generator's inlined draws make exactly the ``getrandbits``
+    calls of ``random.Random``'s methods: same results, same state."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_shuffle_matches_random_shuffle(self, seed):
+        rng = random.Random(seed)
+        reference = random.Random(seed)
+        for length in range(41):
+            items = [f"n{k}" for k in range(length)]
+            expected = list(items)
+            _shuffle(items, rng.getrandbits)
+            reference.shuffle(expected)
+            assert items == expected
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("use_xor", [False, True])
+    def test_cone_tree_matches_shuffle_and_choice(self, seed, use_xor):
+        rng = random.Random(seed)
+        reference = random.Random(seed)
+        built, expected = Netlist("cone"), Netlist("cone")
+        counter, reference_counter = [0], [0]
+        for width in range(1, 41):
+            support = [f"i{k}" for k in range(width)]
+            root = _build_cone_tree(built, "c", support, rng, counter, use_xor)
+            assert root == reference_cone_tree(
+                expected, "c", support, reference, reference_counter, use_xor
+            )
+            assert built.gates == expected.gates
+            assert rng.getstate() == reference.getstate()
+        drawn = {gate.gate_type for gate in built.gates}
+        assert set(_TREE_GATES) <= drawn
+
+    @pytest.mark.parametrize("overlap", [0.0, 0.35, 0.7, 1.0])
+    def test_support_windows_match_cyclic_indexing(self, overlap):
+        spec = GeneratorSpec(name="g", inputs=23, outputs=9, flip_flops=4,
+                             overlap=overlap, seed=0)
+        sources = [f"s{k}" for k in range(spec.inputs + spec.flip_flops)]
+        widths = [1, 2, 5, 9, 27, 40, 3, 12, 7, 26, 16, 4, 8]
+        rng = random.Random(5)
+        reference = random.Random(5)
+        supports = _cone_supports(spec, widths, sources, rng)
+        count = len(sources)
+        expected = []
+        for index, width in enumerate(widths):
+            width = min(width, count)
+            window = max(width, round(width + overlap * (count - width)))
+            center = (index * count) // len(widths)
+            candidates = [sources[(center + k) % count] for k in range(window)]
+            expected.append(reference.sample(candidates, width))
+        assert supports == expected
+        assert rng.getstate() == reference.getstate()

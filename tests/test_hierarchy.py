@@ -1,7 +1,5 @@
 """Unit tests for ISOCOST and per-core TDV (repro.soc.hierarchy)."""
 
-import pytest
-
 from repro.soc import (
     Core,
     Soc,

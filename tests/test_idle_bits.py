@@ -1,7 +1,5 @@
 """Unit tests for the idle-bit ablation (repro.tam.idle_bits)."""
 
-import pytest
-
 from repro.core import tdv_monolithic_optimistic
 from repro.itc02 import load
 from repro.tam import idle_bit_report, idle_bit_sweep, useful_bits_check

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import repro
 from repro.circuit import dump_bench
-from repro.errors import ReproError
+from repro.errors import InputEncodingError, InputFileError, ReproError
 from repro.io import load_netlist, load_soc
 from tests.conftest import C17_BENCH
 from tests.test_itc02_format import A586710
@@ -72,6 +72,33 @@ class TestLoadSoc:
         soc = load_soc(path)
         assert soc.name == "mini2"
         assert [core.name for core in soc.cores] == ["a"]
+
+
+class TestUnreadableFiles:
+    """A file that cannot be read is a typed error naming the path; the
+    old handlers (``OSError``, ``ValueError`` for bad bytes) still catch it."""
+
+    @pytest.mark.parametrize("loader", [load_netlist, load_soc])
+    def test_missing_file_and_directory_are_os_errors(self, tmp_path, loader):
+        for path in (tmp_path / "nosuch.bench", tmp_path):
+            with pytest.raises(InputFileError) as error:
+                loader(path)
+            assert isinstance(error.value, OSError)
+            assert isinstance(error.value, ReproError)
+            assert str(error.value).startswith(f"cannot read {path}: ")
+
+    @pytest.mark.parametrize("name", ["bad.bench", "bad.v", "bad.soc"])
+    def test_bytes_that_do_not_decode_are_value_errors(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"ok\n\xc3(\n")
+        loader = load_soc if name.endswith(".soc") else load_netlist
+        with pytest.raises(ValueError) as error:
+            loader(path)
+        assert isinstance(error.value, InputEncodingError)
+        assert str(error.value) == (
+            f"cannot read {path}: not utf-8 text (invalid continuation byte "
+            f"at byte 3)"
+        )
 
 
 @pytest.mark.parametrize("text", [NATIVE_SAMPLE, A586710], ids=["native", "soc"])

@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.atpg.engine import generate_tests
-from repro.circuit import parse_bench
 from repro.observability import (
     NULL_TRACER,
     JsonlSink,

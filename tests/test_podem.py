@@ -1,9 +1,5 @@
 """Unit tests for PODEM (repro.atpg.podem)."""
 
-import itertools
-
-import pytest
-
 from repro.atpg import (
     CompiledCircuit,
     Fault,

@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.atpg import (
     CompiledCircuit,
-    Fault,
     FaultSimulator,
     Podem,
     PodemOutcome,

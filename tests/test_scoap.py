@@ -1,7 +1,5 @@
 """Unit tests for SCOAP testability analysis (repro.circuit.scoap)."""
 
-import pytest
-
 from repro.circuit import GateType, Netlist, parse_bench
 from repro.circuit.scoap import INFINITY, hardest_nets, scoap_measures
 from repro.circuit.scoap import testability_summary as scoap_summary

@@ -20,7 +20,6 @@ from repro.core import (
 )
 from repro.core.serialization import dumps, loads_soc
 from repro.itc02 import load
-from repro.soc import Core, Soc
 
 
 class TestSocRoundTrip:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.circuit import netlist_stats
 from repro.synth import (
-    ISCAS89_PROFILES,
     elaborate,
     profile,
     soc1_design,

@@ -11,7 +11,6 @@ SIGKILL of a population run mid-flight.
 
 import json
 import os
-import signal
 import statistics
 import subprocess
 import sys
@@ -39,7 +38,6 @@ from repro.sweeps import (
     JsonlPointSink,
     ParetoFront,
     RunningStats,
-    ShardStore,
     StreamingRegression,
     SweepEngine,
     SweepSpec,

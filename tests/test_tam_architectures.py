@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.soc import Core, Soc
 from repro.tam import (
     CoreTestSpec,
     compare_architectures,

@@ -643,6 +643,21 @@ class TestSchedulerOracle:
             specs, tam_width, candidate_widths
         )
 
+    @example(free=[0, 0, 5, 5, 9])
+    @settings(max_examples=300, deadline=None)
+    @given(free=st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
+    def test_waste_never_falls_as_width_grows(self, free):
+        """The lemma behind best-fit's (end, width) key: over ascending
+        free times, the wire-cycles a width-w test idles before it
+        starts never fall as w grows, so among equal ends the narrower
+        width never wastes more, and the reference's waste term agrees."""
+        free = sorted(free)
+        waste = [
+            sum(free[w - 1] - free[k] for k in range(w))
+            for w in range(1, len(free) + 1)
+        ]
+        assert waste == sorted(waste)
+
 
 class TestScheduleErrors:
     def test_schedule_error_is_typed_and_legacy_compatible(self):

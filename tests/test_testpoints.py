@@ -5,10 +5,9 @@ import pytest
 from repro.atpg.testpoints import (
     TestPointPlan,
     apply_test_points,
-    insert_test_points,
     select_test_points,
 )
-from repro.circuit import GateType, Netlist, check_equivalence
+from repro.circuit import GateType, Netlist
 from repro.synth import GeneratorSpec, generate_circuit
 
 

@@ -1,4 +1,4 @@
-"""No module under ``src/repro`` imports a name it never reads.
+"""No module under ``src/repro`` or ``tests/`` imports a name it never reads.
 
 A scan with the standard library's ``ast`` module, so it needs no
 linter.  A name counts as read when the module loads it anywhere, names
@@ -12,7 +12,9 @@ module to register it.
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
+TESTS = ROOT / "tests"
 REGISTRATION_MODULE = Path("experiments", "runner.py")
 
 
@@ -96,15 +98,20 @@ def test_scan_tells_unused_from_read():
     ]
 
 
-def test_no_module_imports_a_name_it_never_reads():
-    modules = sorted(PACKAGE.rglob("*.py"))
+def unused_under(root):
+    modules = sorted(root.rglob("*.py"))
     assert len(modules) > 50
-    unused = [
-        f"{path.relative_to(PACKAGE)}:{line}: {name}"
+    return [
+        f"{path.relative_to(root)}:{line}: {name}"
         for path in modules
         if path.name != "__init__.py"
-        for line, name in unused_imports(
-            path.read_text(), path.relative_to(PACKAGE)
-        )
+        for line, name in unused_imports(path.read_text(), path.relative_to(root))
     ]
-    assert unused == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unused_under(PACKAGE) == []
+
+
+def test_no_test_module_imports_a_name_it_never_reads():
+    assert unused_under(TESTS) == []

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.circuit import dump_bench, parse_bench
+from repro.circuit import dump_bench
 from repro.circuit.verilog import (
     VerilogFormatError,
     dump_verilog,

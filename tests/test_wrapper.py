@@ -1,7 +1,5 @@
 """Unit tests for IEEE 1500-style wrapper modeling (repro.soc.wrapper)."""
 
-import pytest
-
 from repro.soc import (
     Core,
     Soc,
